@@ -21,7 +21,7 @@ use tla_workloads::{BatchedTrace, SpecApp, SyntheticTrace, TraceSource};
 
 /// Which execution loop drives the engine.
 ///
-/// All loops commit the same instructions in the same global order and
+/// Both loops commit the same instructions in the same global order and
 /// are byte-identical in every output (results, reports, checkpoints);
 /// they differ only in wall-clock. The serial loop is kept as the
 /// equivalence reference — `TLA_ENGINE=serial` selects it process-wide,
@@ -34,16 +34,6 @@ pub enum EngineMode {
     Batched,
     /// The original loop: one heap pop, one instruction, one push.
     Serial,
-    /// The epoch pipeline: simulated time is chopped into bounded epochs;
-    /// each epoch first pre-generates every core's (and device agent's)
-    /// instruction stream for the whole epoch on a worker pool
-    /// ([`tla_pool::scoped_map`], capped by
-    /// [`SimConfig::engine_jobs`](crate::SimConfig::engine_jobs) /
-    /// `TLA_ENGINE_JOBS`), then commits the epoch through the batched
-    /// run-extraction loop. Generation is timing-independent and the
-    /// commit order is untouched, so output stays byte-identical to the
-    /// other modes at every job count (see DESIGN §4l).
-    Parallel,
 }
 
 impl EngineMode {
@@ -60,11 +50,9 @@ impl EngineMode {
             Ok(EngineMode::Batched)
         } else if value.eq_ignore_ascii_case("serial") {
             Ok(EngineMode::Serial)
-        } else if value.eq_ignore_ascii_case("parallel") {
-            Ok(EngineMode::Parallel)
         } else {
             Err(format!(
-                "unrecognized TLA_ENGINE value {value:?} (valid modes: batched, serial, parallel)"
+                "unrecognized TLA_ENGINE value {value:?} (valid modes: batched, serial)"
             ))
         }
     }
@@ -87,7 +75,6 @@ impl EngineMode {
         match self {
             EngineMode::Batched => "batched",
             EngineMode::Serial => "serial",
-            EngineMode::Parallel => "parallel",
         }
     }
 }
@@ -766,36 +753,20 @@ struct IoAgentRuntime {
     period: u64,
 }
 
-/// Memory round trips per parallel-engine epoch.
-///
-/// The epoch length is a *pacing* knob, not a correctness bound (the
-/// commit phase re-derives every ordering decision from the scheduler
-/// heap; see [`Engine::run_parallel`]): it trades barrier frequency
-/// against the pre-generation buffer each epoch pins. Sixty-four
-/// round trips of the slowest configured level (~10k cycles at the
-/// default 150-cycle memory latency) keeps the per-core buffer in the
-/// tens of kilobytes while amortizing the fork/join cost over tens of
-/// thousands of committed instructions.
-const EPOCH_MEMORY_ROUNDTRIPS: Cycle = 64;
-
 struct Engine {
     hier: CacheHierarchy,
     cores: Vec<CoreModel>,
     traces: Vec<BatchedTrace<SyntheticTrace>>,
     io_agents: Vec<IoAgentRuntime>,
     mode: EngineMode,
-    /// Worker cap for the parallel engine's pre-generation phase.
-    engine_jobs: usize,
-    /// Parallel-engine epoch length in cycles (always ≥ 1).
-    epoch_cycles: Cycle,
-    /// Core retire width: the upper bound on instructions per cycle,
-    /// used to size epoch pre-generation.
-    width: usize,
     last_code_line: Vec<Option<LineAddr>>,
     frozen: Vec<Option<ThreadResult>>,
     /// Per-thread snapshot taken when the thread crosses the warm-up
     /// boundary: (cycles, stats). Consumed at the freeze.
     warm_mark: Vec<Option<(u64, PerCoreStats)>>,
+    /// Live (unfrozen) threads that have not crossed the warm-up boundary
+    /// yet; zero means the run is warm.
+    unwarmed: usize,
     remaining: usize,
     total_instr: u64,
     sched: CoreScheduler,
@@ -855,6 +826,7 @@ impl Engine {
             };
             n_cores
         ];
+        let unwarmed = if warmup == 0 { 0 } else { n_cores };
         // Device agents start one period in, so at cycle 0 the cores win
         // and an empty agent list leaves the heap exactly as before.
         let io_agents: Vec<IoAgentRuntime> = run
@@ -868,12 +840,6 @@ impl Engine {
                 period: spec.period,
             })
             .collect();
-        let latencies = run.cfg.core_config().latencies;
-        let epoch_cycles = latencies
-            .memory
-            .max(latencies.llc)
-            .max(1)
-            .saturating_mul(EPOCH_MEMORY_ROUNDTRIPS);
         let sched = CoreScheduler::new(
             cores
                 .iter()
@@ -890,12 +856,10 @@ impl Engine {
                 .map(Ok)
                 .unwrap_or_else(EngineMode::from_env)
                 .unwrap_or_else(|e| panic!("{e}")),
-            engine_jobs: run.cfg.effective_engine_jobs(),
-            epoch_cycles,
-            width: run.cfg.core_config().width,
             last_code_line: vec![None; n_cores],
             frozen: vec![None; n_cores],
             warm_mark,
+            unwarmed,
             remaining: n_cores,
             total_instr: 0,
             sched,
@@ -992,6 +956,12 @@ impl Engine {
         }
 
         if self.warm_mark[i].is_none() && self.cores[i].retired() >= self.warmup {
+            // A frozen thread re-marks once after its freeze took the mark
+            // (the checkpoint bytes carry that mark), but it stopped
+            // counting as unwarmed when it first marked.
+            if self.frozen[i].is_none() {
+                self.unwarmed -= 1;
+            }
             self.warm_mark[i] = Some((self.cores[i].cycles(), *self.hier.per_core_stats(core_id)));
         }
         if self.frozen[i].is_none() && self.cores[i].retired() >= self.quota {
@@ -1007,23 +977,20 @@ impl Engine {
         }
     }
 
-    /// Whether every live thread has crossed the warm-up boundary.
-    ///
-    /// A fast thread can freeze (retire its whole quota) before a slow one
-    /// has even warmed, so "warm" means marked *or* already frozen.
-    fn is_warm(&self) -> bool {
-        self.warm_mark
-            .iter()
-            .zip(&self.frozen)
-            .all(|(w, f)| w.is_some() || f.is_some())
+    /// Whether the loop driving [`run_to_warm`](Engine::run_to_warm)
+    /// (`until_warm`) or [`run_to_completion`](Engine::run_to_completion)
+    /// must stop. Warm means every live thread has crossed the warm-up
+    /// boundary: a fast thread can freeze (retire its whole quota) before
+    /// a slow one has even warmed, so frozen threads count as warm.
+    fn done(&self, until_warm: bool) -> bool {
+        self.remaining == 0 || (until_warm && self.unwarmed == 0)
     }
 
     fn run_to_warm(&mut self) {
         match self.mode {
             EngineMode::Batched => self.run_batched(true),
-            EngineMode::Parallel => self.run_parallel(true),
             EngineMode::Serial => {
-                while self.remaining > 0 && !self.is_warm() {
+                while !self.done(true) {
                     self.step();
                 }
             }
@@ -1033,9 +1000,8 @@ impl Engine {
     fn run_to_completion(&mut self) {
         match self.mode {
             EngineMode::Batched => self.run_batched(false),
-            EngineMode::Parallel => self.run_parallel(false),
             EngineMode::Serial => {
-                while self.remaining > 0 {
+                while !self.done(false) {
                     self.step();
                 }
             }
@@ -1044,30 +1010,33 @@ impl Engine {
 
     /// The batched engine loop: run extraction over the core scheduler.
     ///
-    /// Pops the lagging core once and keeps committing on it back-to-back
-    /// while its updated `(clock, index)` stays lexicographically below the
-    /// rest of the heap ([`CoreScheduler::peek`]'s horizon, captured once —
-    /// the other entries cannot change while their cores are not stepping).
-    /// Over that span the serial loop would re-pick the same core every
-    /// iteration, so the commit order — and therefore every `total_instr`
-    /// event stamp, cache access, and stats update — is identical to
-    /// [`step`](Engine::step)-ing in a loop. The win is locality: each
-    /// run keeps one core's trace buffer, core model, and L1/L2 state hot
-    /// instead of round-robining through all of them.
+    /// Keeps the lagging core out of the heap and commits on it
+    /// back-to-back while its updated `(clock, index)` stays
+    /// lexicographically below the rest of the heap ([`CoreScheduler::peek`]'s
+    /// horizon, captured once per run — the other entries cannot change
+    /// while their cores are not stepping). Over that span the serial loop
+    /// would re-pick the same core every iteration, so the commit order —
+    /// and therefore every `total_instr` event stamp, cache access, and
+    /// stats update — is identical to [`step`](Engine::step)-ing in a
+    /// loop. At the end of a run the core takes the heap top's place
+    /// ([`CoreScheduler::replace_top`], one sift) and the old top runs
+    /// next. The win is locality: each run keeps one core's trace buffer,
+    /// core model, and L1/L2 state hot instead of round-robining through
+    /// all of them.
     ///
     /// Warm/freeze checks stay per-instruction (inside
     /// [`step_on`](Engine::step_on) and the loop guards), so stopping
     /// points are also bit-exact.
     fn run_batched(&mut self, until_warm: bool) {
+        if self.done(until_warm) {
+            return;
+        }
+        let mut i = self.sched.pick();
         loop {
-            if self.remaining == 0 || (until_warm && self.is_warm()) {
-                return;
-            }
-            let i = self.sched.pick();
             let horizon = self.sched.peek();
             loop {
                 self.step_index(i);
-                if self.remaining == 0 || (until_warm && self.is_warm()) {
+                if self.done(until_warm) {
                     self.sched.reinsert(i, self.clock_of(i));
                     return;
                 }
@@ -1077,113 +1046,7 @@ impl Engine {
                     None => {}
                 }
             }
-            self.sched.reinsert(i, self.clock_of(i));
-        }
-    }
-
-    /// The parallel engine loop: a pipeline of bounded epochs, each one
-    /// a parallel *pre-generation* phase followed by a serial *commit*
-    /// phase.
-    ///
-    /// Per epoch, the cycle horizon is the lagging entry's clock plus
-    /// [`EPOCH_MEMORY_ROUNDTRIPS`] slow-level round trips. Pre-generation
-    /// fans the trace streams out over [`tla_pool::scoped_map`]: each
-    /// worker advances disjoint cores' generators far enough to cover the
-    /// epoch ([`BatchedTrace::prefill`]). Generation is a pure function of
-    /// each stream's own state — it never observes simulated time or any
-    /// shared structure — so running it early, concurrently, or not at
-    /// all cannot change a single generated instruction. The commit phase
-    /// is exactly [`run_batched`](Engine::run_batched) with every run
-    /// additionally clipped at the epoch horizon: commits still always
-    /// pick the globally minimal `(clock, index)` heap entry, and an
-    /// entry at or past the horizon can never be that minimum while any
-    /// entry is below it, so chopping time into epochs pauses the commit
-    /// order but never permutes it. Every observable — stats, event
-    /// stamps, window boundaries, checkpoint bytes — is therefore
-    /// byte-identical to the serial and batched engines for any epoch
-    /// length and any worker count.
-    fn run_parallel(&mut self, until_warm: bool) {
-        loop {
-            if self.remaining == 0 || (until_warm && self.is_warm()) {
-                return;
-            }
-            let Some((start, _)) = self.sched.peek() else {
-                return;
-            };
-            let epoch_end = start.saturating_add(self.epoch_cycles);
-            self.prefill_epoch(epoch_end);
-            if self.commit_epoch(epoch_end, until_warm) {
-                return;
-            }
-        }
-    }
-
-    /// Pre-generates every stream that can commit inside the epoch.
-    ///
-    /// The per-core need is the worst case the commit phase can consume:
-    /// the retire width bounds instructions per cycle, plus one refill
-    /// batch of slack so the run that *crosses* the horizon still finds
-    /// its instructions buffered. A shortfall would only cost speed, not
-    /// correctness — [`BatchedTrace`] falls back to inline generation —
-    /// but the bound makes one never happen.
-    fn prefill_epoch(&mut self, epoch_end: Cycle) {
-        let width = self.width as u64;
-        let core_clocks: Vec<Cycle> = self.cores.iter().map(CoreModel::now).collect();
-        let mut items: Vec<(&mut BatchedTrace<SyntheticTrace>, usize)> = self
-            .traces
-            .iter_mut()
-            .zip(&core_clocks)
-            .filter(|&(_, &clock)| clock < epoch_end)
-            .map(|(trace, &clock)| {
-                let need = (epoch_end - clock).saturating_mul(width) as usize
-                    + tla_workloads::DEFAULT_BATCH;
-                (trace, need)
-            })
-            .collect();
-        // Device agents inject one line per period, so their need is the
-        // period count to the horizon (plus the crossing injection).
-        for agent in &mut self.io_agents {
-            if agent.clock < epoch_end {
-                let need = ((epoch_end - agent.clock) / agent.period + 2) as usize;
-                items.push((&mut agent.trace, need));
-            }
-        }
-        tla_pool::scoped_map(self.engine_jobs, items, |(trace, need)| {
-            trace.prefill(need);
-        });
-    }
-
-    /// Commits until every heap entry has reached the epoch horizon (or
-    /// the run finished — the `true` return). Identical to
-    /// [`run_batched`](Engine::run_batched) except each extracted run is
-    /// also clipped at `epoch_end`.
-    fn commit_epoch(&mut self, epoch_end: Cycle, until_warm: bool) -> bool {
-        loop {
-            if self.remaining == 0 || (until_warm && self.is_warm()) {
-                return true;
-            }
-            match self.sched.peek() {
-                Some((clock, _)) if clock < epoch_end => {}
-                _ => return false,
-            }
-            let i = self.sched.pick();
-            let horizon = self.sched.peek();
-            loop {
-                self.step_index(i);
-                if self.remaining == 0 || (until_warm && self.is_warm()) {
-                    self.sched.reinsert(i, self.clock_of(i));
-                    return true;
-                }
-                if self.clock_of(i) >= epoch_end {
-                    break;
-                }
-                match horizon {
-                    Some(h) if (self.clock_of(i), i) < h => {}
-                    Some(_) => break,
-                    None => {}
-                }
-            }
-            self.sched.reinsert(i, self.clock_of(i));
+            i = self.sched.replace_top(i, self.clock_of(i));
         }
     }
 
@@ -1268,7 +1131,8 @@ fn read_per_core_stats(r: &mut SnapshotReader<'_>) -> Result<PerCoreStats, Snaps
 /// Checkpoint coverage: hierarchy, cores, trace cursors, instruction-
 /// fetch dedup state, freeze/warm-mark bookkeeping and the global
 /// instruction clock. The scheduler heap is rebuilt from the per-core
-/// clocks; `remaining` is derived from the frozen count.
+/// clocks; `remaining` and `unwarmed` are derived from the frozen and
+/// warm-mark state.
 impl Snapshot for Engine {
     fn write_state(&self, w: &mut SnapshotWriter) {
         self.hier.write_state(w);
@@ -1352,6 +1216,12 @@ impl Snapshot for Engine {
             a.clock = r.read_u64()?;
         }
         self.remaining = self.frozen.iter().filter(|f| f.is_none()).count();
+        self.unwarmed = self
+            .warm_mark
+            .iter()
+            .zip(&self.frozen)
+            .filter(|(w, f)| w.is_none() && f.is_none())
+            .count();
         self.sched = CoreScheduler::new(
             self.cores
                 .iter()
@@ -1664,106 +1534,22 @@ mod tests {
     fn engine_mode_parses_all_modes_and_rejects_typos() {
         assert_eq!(EngineMode::parse("batched"), Ok(EngineMode::Batched));
         assert_eq!(EngineMode::parse("SERIAL"), Ok(EngineMode::Serial));
-        assert_eq!(EngineMode::parse("Parallel"), Ok(EngineMode::Parallel));
         // Regression: typos used to fall through to Batched silently, so a
         // misspelled TLA_ENGINE measured the wrong engine without a word.
-        let err = EngineMode::parse("seriall").unwrap_err();
-        assert!(err.contains("\"seriall\""), "error lacks the value: {err}");
-        assert!(
-            err.contains("batched, serial, parallel"),
-            "error lacks the valid modes: {err}"
-        );
-        assert_eq!(EngineMode::Parallel.label(), "parallel");
+        // The retired parallel engine's name is rejected the same way.
+        for value in ["seriall", "parallel"] {
+            let err = EngineMode::parse(value).unwrap_err();
+            assert!(
+                err.contains(&format!("{value:?}")),
+                "error lacks the value: {err}"
+            );
+            assert!(
+                err.contains("valid modes: batched, serial)"),
+                "error lacks the valid modes: {err}"
+            );
+        }
         assert_eq!(EngineMode::Batched.label(), "batched");
         assert_eq!(EngineMode::Serial.label(), "serial");
-    }
-
-    #[test]
-    fn parallel_engine_matches_serial_engine_exactly() {
-        // The whole determinism claim in one test: a 3-core mix with
-        // warm-up, run under the epoch pipeline at several worker counts,
-        // must reproduce the serial loop bit-for-bit — results,
-        // checkpoint bytes, and cross-engine resumes.
-        let base = quick().warmup(10_000);
-        let mix = [SpecApp::Sjeng, SpecApp::Mcf, SpecApp::Libquantum];
-        let s = MixRun::new(&base, &mix)
-            .engine_mode(EngineMode::Serial)
-            .run();
-        let cs = MixRun::new(&base, &mix)
-            .engine_mode(EngineMode::Serial)
-            .warm_checkpoint();
-        for jobs in [1, 2, 4] {
-            let cfg = base.clone().engine_jobs(jobs);
-            let p = MixRun::new(&cfg, &mix)
-                .engine_mode(EngineMode::Parallel)
-                .run();
-            for (tp, ts) in p.threads.iter().zip(&s.threads) {
-                assert_eq!(tp.instructions, ts.instructions, "jobs={jobs}");
-                assert_eq!(tp.cycles, ts.cycles, "jobs={jobs}");
-                assert_eq!(tp.stats, ts.stats, "jobs={jobs}");
-            }
-            assert_eq!(p.global, s.global, "jobs={jobs}");
-
-            let cp = MixRun::new(&cfg, &mix)
-                .engine_mode(EngineMode::Parallel)
-                .warm_checkpoint();
-            assert_eq!(
-                cp.as_bytes(),
-                cs.as_bytes(),
-                "jobs={jobs}: pre-generated chunks leaked into checkpoint bytes"
-            );
-
-            // Cross-resume both ways: the parallel engine finishes the
-            // serial warm image and vice versa.
-            let rp = MixRun::new(&cfg, &mix)
-                .engine_mode(EngineMode::Parallel)
-                .resume(&cs)
-                .unwrap();
-            let rs = MixRun::new(&base, &mix)
-                .engine_mode(EngineMode::Serial)
-                .resume(&cp)
-                .unwrap();
-            assert_eq!(rp.global, rs.global, "jobs={jobs}");
-            assert_eq!(rp.threads[1].stats, rs.threads[1].stats, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn io_parallel_engine_matches_batched() {
-        // Device agents ride the same epochs: their injections interleave
-        // identically whatever the engine.
-        let cfg = quick().warmup(5_000).engine_jobs(3);
-        let mix = [SpecApp::Sjeng, SpecApp::Mcf];
-        let io = IoMixConfig::none()
-            .agent(IoAgentSpec::nic().period(3).lines(256))
-            .agent(IoAgentSpec::dma().period(7))
-            .inject_ways(2);
-        let p = MixRun::new(&cfg, &mix)
-            .io(io.clone())
-            .engine_mode(EngineMode::Parallel)
-            .run();
-        let b = MixRun::new(&cfg, &mix)
-            .io(io)
-            .engine_mode(EngineMode::Batched)
-            .run();
-        for (tp, tb) in p.threads.iter().zip(&b.threads) {
-            assert_eq!(tp.cycles, tb.cycles);
-            assert_eq!(tp.stats, tb.stats);
-        }
-        assert_eq!(p.global, b.global);
-        assert_eq!(p.io, b.io);
-    }
-
-    #[test]
-    fn parallel_engine_emits_monotonic_event_stream() {
-        use tla_telemetry::OrderCheckSink;
-        let cfg = quick().warmup(5_000).engine_jobs(2);
-        let shared = SharedSink::new(OrderCheckSink::new());
-        let r = MixRun::new(&cfg, &[SpecApp::Sjeng, SpecApp::Mcf])
-            .engine_mode(EngineMode::Parallel)
-            .run_with_sink(shared.clone());
-        assert_eq!(r.threads.len(), 2);
-        assert!(shared.with(|s| s.seen()) > 0, "no events reached the sink");
     }
 
     #[test]

@@ -18,7 +18,8 @@ use tla_types::Cycle;
 /// the tie-break of `(0..n).min_by_key(|i| clock[i])` exactly: among
 /// equal clocks the lowest core index runs first. Every core keeps
 /// exactly one heap entry; [`CoreScheduler::pick`] removes it and
-/// [`CoreScheduler::reinsert`] puts the updated clock back, so no stale
+/// [`CoreScheduler::reinsert`] puts the updated clock back (or
+/// [`CoreScheduler::replace_top`] does both in one sift), so no stale
 /// entries ever accumulate.
 #[derive(Debug, Clone)]
 pub(crate) struct CoreScheduler {
@@ -53,6 +54,24 @@ impl CoreScheduler {
         self.heap.push(Reverse((clock, i)));
     }
 
+    /// [`reinsert`] followed by [`pick`], in one heap sift: schedules core
+    /// `i` at `clock` and returns the core that must step next. When `i`
+    /// is still the minimum it is returned without touching the heap;
+    /// otherwise it takes the heap top's place and the old top is
+    /// returned.
+    ///
+    /// [`reinsert`]: CoreScheduler::reinsert
+    /// [`pick`]: CoreScheduler::pick
+    pub fn replace_top(&mut self, i: usize, clock: Cycle) -> usize {
+        if let Some(mut top) = self.heap.peek_mut() {
+            if top.0 < (clock, i) {
+                let Reverse((_, next)) = std::mem::replace(&mut *top, Reverse((clock, i)));
+                return next;
+            }
+        }
+        i
+    }
+
     /// The smallest `(clock, index)` pair currently scheduled, without
     /// removing it — the run-extraction horizon: after a [`pick`], the
     /// picked core may keep committing back-to-back while its updated
@@ -82,20 +101,27 @@ mod tests {
     fn matches_linear_scan_including_ties() {
         // Deterministic pseudo-random clock advances (no external RNG):
         // exercise long tie runs and uneven progress over many steps.
+        // Two schedulers see the same advances: one pops and pushes per
+        // step, the other keeps its running core out of the heap and
+        // swaps it in with `replace_top`; both must pick like the scan.
         let n = 8;
         let mut clocks: Vec<Cycle> = vec![0; n];
         let mut sched = CoreScheduler::new(clocks.iter().copied());
+        let mut swapper = CoreScheduler::new(clocks.iter().copied());
+        let mut running = swapper.pick();
         let mut state: u64 = 0x1234_5678_9ABC_DEF0;
         for step in 0..10_000 {
             let expected = scan_pick(&clocks);
             let picked = sched.pick();
             assert_eq!(picked, expected, "step {step}: clocks {clocks:?}");
+            assert_eq!(running, expected, "step {step}: replace_top path");
             // xorshift64 advance; frequent zero increments create ties.
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             clocks[picked] += state % 4;
             sched.reinsert(picked, clocks[picked]);
+            running = swapper.replace_top(running, clocks[running]);
         }
     }
 
@@ -124,6 +150,9 @@ mod tests {
             assert_eq!(sched.pick(), 0);
             sched.reinsert(0, c);
         }
+        // With the running core out of the heap there is no top to swap.
+        assert_eq!(sched.pick(), 0);
+        assert_eq!(sched.replace_top(0, 100), 0);
     }
 
     #[test]
@@ -142,12 +171,14 @@ mod tests {
         assert_eq!(solo.peek(), None);
     }
 
-    /// The batched engine's run extraction: pop a core, keep committing on
-    /// it while its updated `(clock, index)` stays below [`peek`]'s
-    /// horizon, then reinsert. The commit order must equal the serial
-    /// pick-one-reinsert loop's order exactly, ties included.
+    /// The batched engine's run extraction: keep committing on the running
+    /// core while its updated `(clock, index)` stays below [`peek`]'s
+    /// horizon, then swap it for the heap top with [`replace_top`]. The
+    /// commit order must equal the serial pick-one-reinsert loop's order
+    /// exactly, ties included.
     ///
     /// [`peek`]: CoreScheduler::peek
+    /// [`replace_top`]: CoreScheduler::replace_top
     #[test]
     fn run_extraction_matches_serial_commit_order() {
         let n = 4;
@@ -179,8 +210,8 @@ mod tests {
         let mut count = vec![0u64; n];
         let mut extracted = Vec::with_capacity(total);
         let mut sched = CoreScheduler::new(clocks.iter().copied());
+        let mut i = sched.pick();
         while extracted.len() < total {
-            let i = sched.pick();
             let horizon = sched.peek();
             loop {
                 clocks[i] += adv(i, count[i]);
@@ -195,7 +226,7 @@ mod tests {
                     None => {}
                 }
             }
-            sched.reinsert(i, clocks[i]);
+            i = sched.replace_top(i, clocks[i]);
         }
         assert_eq!(serial, extracted);
     }

@@ -10,47 +10,32 @@
 //! Buffering generates *ahead* of the committed position — the underlying
 //! generator's RNG has already advanced past instructions nobody has
 //! consumed yet. That would break checkpoint byte-compatibility, so the
-//! batcher keeps, for every in-flight chunk, a clone of the generator
-//! taken at that chunk's start (a committed boundary). Serialization
-//! clones the front chunk's base, replays exactly the consumed prefix of
-//! that chunk, and snapshots *that* state: the bytes are identical to an
-//! unbatched generator that stopped at the same committed instruction.
-//!
-//! The chunk chain exists for the parallel engine's epoch pre-generation
-//! ([`BatchedTrace::prefill`]): a worker thread can stack up a bounded
-//! number of chunks ahead of the committed position, the commit loop
-//! drains them front-first, and the snapshot replay cost stays bounded by
-//! one chunk regardless of how far generation ran ahead.
+//! batcher also keeps a clone of the generator taken at the buffer's
+//! start (a committed boundary). Serialization clones that base, replays
+//! exactly the consumed prefix of the buffer, and snapshots *that* state:
+//! the bytes are identical to an unbatched generator that stopped at the
+//! same committed instruction.
 
 use crate::trace::{Instruction, TraceSource};
-use std::collections::VecDeque;
 use tla_snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Default instructions generated per refill burst.
 pub const DEFAULT_BATCH: usize = 64;
-
-/// One generated-ahead burst: the instructions plus the generator state
-/// at the burst's first instruction (the replay anchor for snapshots).
-#[derive(Debug, Clone)]
-struct Chunk<T> {
-    base: T,
-    buf: Vec<Instruction>,
-}
 
 /// A buffering adapter around any [`TraceSource`]: generates instructions
 /// in bursts, hands them out one by one, and serializes as if it had never
 /// buffered at all (see the module docs for the replay argument).
 #[derive(Debug, Clone)]
 pub struct BatchedTrace<T> {
-    /// The generator, advanced through the end of the last chunk.
+    /// The generator, advanced through the end of the buffer.
     inner: T,
-    /// Generated-ahead chunks, oldest (partially consumed) first.
-    chunks: VecDeque<Chunk<T>>,
-    /// Instructions of the front chunk already handed out.
+    /// The generator state at `buf[0]`: the snapshot replay anchor.
+    base: T,
+    /// The current burst.
+    buf: Vec<Instruction>,
+    /// Instructions of `buf` already handed out.
     pos: usize,
     batch: usize,
-    /// Retired chunks recycled to keep the hot path allocation-free.
-    spare: Vec<Chunk<T>>,
 }
 
 impl<T: TraceSource + Clone> BatchedTrace<T> {
@@ -67,87 +52,57 @@ impl<T: TraceSource + Clone> BatchedTrace<T> {
     pub fn with_batch(inner: T, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
         BatchedTrace {
+            base: inner.clone(),
             inner,
-            chunks: VecDeque::new(),
+            buf: Vec::with_capacity(batch),
             pos: 0,
             batch,
-            spare: Vec::new(),
         }
     }
 
-    /// Generates one more chunk at the back of the chain.
+    /// Replaces the exhausted buffer with the next burst and hands out
+    /// its first instruction.
     #[cold]
-    fn generate_chunk(&mut self) {
-        let mut chunk = self.spare.pop().unwrap_or_else(|| Chunk {
-            base: self.inner.clone(),
-            buf: Vec::with_capacity(self.batch),
-        });
-        chunk.base.clone_from(&self.inner);
-        chunk.buf.clear();
-        for _ in 0..self.batch {
-            chunk.buf.push(self.inner.next_instruction());
-        }
-        self.chunks.push_back(chunk);
-    }
-
-    /// Unconsumed instructions currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.chunks.iter().map(|c| c.buf.len()).sum::<usize>() - self.pos
-    }
-
-    /// Generates ahead until at least `n` unconsumed instructions are
-    /// buffered. Generation is a pure function of the generator state —
-    /// it never looks at simulated time — so prefilling any amount from
-    /// any thread leaves the consumed stream (and the snapshot bytes,
-    /// which replay only the committed prefix) bit-identical.
-    pub fn prefill(&mut self, n: usize) {
-        while self.buffered() < n {
-            self.generate_chunk();
-        }
+    fn refill(&mut self) -> Instruction {
+        self.base.clone_from(&self.inner);
+        self.buf.clear();
+        let inner = &mut self.inner;
+        self.buf
+            .extend((0..self.batch).map(|_| inner.next_instruction()));
+        self.pos = 1;
+        self.buf[0]
     }
 }
 
 impl<T: TraceSource + Clone> TraceSource for BatchedTrace<T> {
     #[inline]
     fn next_instruction(&mut self) -> Instruction {
-        loop {
-            if let Some(front) = self.chunks.front() {
-                if self.pos < front.buf.len() {
-                    let instr = front.buf[self.pos];
-                    self.pos += 1;
-                    return instr;
-                }
-                let retired = self.chunks.pop_front().expect("front chunk exists");
-                self.spare.push(retired);
-                self.pos = 0;
-            } else {
-                self.generate_chunk();
+        match self.buf.get(self.pos) {
+            Some(&instr) => {
+                self.pos += 1;
+                instr
             }
+            None => self.refill(),
         }
     }
 }
 
 impl<T: TraceSource + Clone + Snapshot> Snapshot for BatchedTrace<T> {
     fn write_state(&self, w: &mut SnapshotWriter) {
-        // Replay the committed prefix onto the front chunk's start-of-burst
-        // clone; the result is the exact generator state an unbatched run
-        // would hold here, so the wire bytes carry no trace of the batching
-        // (or of any chunks generated ahead by the parallel engine).
-        match self.chunks.front() {
-            Some(front) => {
-                let mut committed = front.base.clone();
-                for _ in 0..self.pos {
-                    committed.next_instruction();
-                }
-                committed.write_state(w);
-            }
-            None => self.inner.write_state(w),
+        // Replay the committed prefix onto the start-of-burst clone; the
+        // result is the exact generator state an unbatched run would hold
+        // here, so the wire bytes carry no trace of the batching.
+        let mut committed = self.base.clone();
+        for _ in 0..self.pos {
+            committed.next_instruction();
         }
+        committed.write_state(w);
     }
 
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.inner.read_state(r)?;
-        self.spare.extend(self.chunks.drain(..));
+        self.base.clone_from(&self.inner);
+        self.buf.clear();
         self.pos = 0;
         Ok(())
     }
@@ -185,66 +140,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prefilled_stream_equals_unbatched_stream() {
-        // Generating far ahead (as the parallel engine's epoch workers do)
-        // must not perturb the consumed stream, whatever the prefill
-        // depth/consumption interleaving.
-        let mut plain = SyntheticTrace::new(&params(), 0, 7);
-        let mut batched = BatchedTrace::with_batch(SyntheticTrace::new(&params(), 0, 7), 16);
-        for round in 0..20 {
-            batched.prefill(37 + 13 * (round % 5));
-            assert!(batched.buffered() >= 37);
-            for n in 0..50 {
-                assert_eq!(
-                    batched.next_instruction(),
-                    plain.next_instruction(),
-                    "round {round} diverges at instruction {n}"
-                );
-            }
-        }
+    fn snapshot_bytes<S: Snapshot>(s: &S) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        s.write_state(&mut w);
+        w.finish()
     }
 
     #[test]
     fn snapshot_hides_the_buffer() {
         // At every commit offset across several refill boundaries, the
-        // batcher's bytes must equal an unbatched generator's bytes.
+        // batcher's bytes must equal an unbatched generator's bytes. The
+        // edge offsets are the fresh batcher and a resumed one (`pos == 0`)
+        // and an exhausted buffer whose refill is still pending
+        // (`pos == batch`).
+        let batch = 16;
         let mut plain = SyntheticTrace::new(&params(), 1, 9);
-        let mut batched = BatchedTrace::with_batch(SyntheticTrace::new(&params(), 1, 9), 16);
+        let mut batched = BatchedTrace::with_batch(SyntheticTrace::new(&params(), 1, 9), batch);
+        let (mut at_start, mut at_end) = (0, 0);
         for n in 0..100 {
-            let mut wp = SnapshotWriter::new();
-            plain.write_state(&mut wp);
-            let mut wb = SnapshotWriter::new();
-            batched.write_state(&mut wb);
+            at_start += usize::from(batched.pos == 0);
+            at_end += usize::from(batched.pos == batch);
             assert_eq!(
-                wp.finish(),
-                wb.finish(),
+                snapshot_bytes(&plain),
+                snapshot_bytes(&batched),
                 "snapshot bytes diverge after {n} commits"
             );
+            if n == 50 {
+                let bytes = snapshot_bytes(&batched);
+                let mut resumed =
+                    BatchedTrace::with_batch(SyntheticTrace::new(&params(), 1, 9), batch);
+                resumed
+                    .read_state(&mut SnapshotReader::new(&bytes).unwrap())
+                    .unwrap();
+                assert_eq!(resumed.pos, 0);
+                at_start += 1;
+                assert_eq!(snapshot_bytes(&resumed), bytes, "resumed at {n} commits");
+                batched = resumed;
+            }
             assert_eq!(plain.next_instruction(), batched.next_instruction());
         }
-    }
-
-    #[test]
-    fn snapshot_hides_prefilled_chunks_too() {
-        // Same bar with a deep prefilled chain: snapshot bytes track the
-        // *committed* position only, and replay cost stays within one
-        // chunk however far generation ran ahead.
-        let mut plain = SyntheticTrace::new(&params(), 1, 9);
-        let mut batched = BatchedTrace::with_batch(SyntheticTrace::new(&params(), 1, 9), 16);
-        batched.prefill(400);
-        for n in 0..300 {
-            let mut wp = SnapshotWriter::new();
-            plain.write_state(&mut wp);
-            let mut wb = SnapshotWriter::new();
-            batched.write_state(&mut wb);
-            assert_eq!(
-                wp.finish(),
-                wb.finish(),
-                "snapshot bytes diverge after {n} commits"
-            );
-            assert_eq!(plain.next_instruction(), batched.next_instruction());
-        }
+        assert_eq!(at_start, 2, "fresh and resumed batchers sit at pos 0");
+        assert!(at_end >= 4, "only {at_end} snapshots at pos == batch");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! run executed straight through, and corrupt or mismatched checkpoints
 //! must fail with descriptive errors — never silently diverge.
 
-use tla::sim::{Checkpoint, MixRun, PolicySpec, SimConfig, SnapshotError};
+use tla::sim::{Checkpoint, EngineMode, MixRun, PolicySpec, SimConfig, SnapshotError};
 use tla::workloads::SpecApp;
 
 fn cfg() -> SimConfig {
@@ -211,4 +211,51 @@ fn resume_pins_every_axis_but_the_policy() {
             .unwrap_err(),
         "prefetch",
     );
+}
+
+/// FNV-1a over the debug rendering of every per-thread and global
+/// counter: a compact pin of a whole [`RunResult`](tla::sim::RunResult).
+fn result_digest(r: &tla::sim::RunResult) -> u64 {
+    let text = format!(
+        "{:?}{:?}",
+        r.threads
+            .iter()
+            .map(|t| (t.app, t.instructions, t.cycles, t.stats))
+            .collect::<Vec<_>>(),
+        r.global
+    );
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the warm-up boundary of a mix whose fast thread retires its whole
+/// quota (and freezes) before the slow thread has even warmed. Serial and
+/// batched equality cannot catch a miscounted warm check, because both
+/// loops share it; these constants can.
+#[test]
+fn warm_boundary_with_a_thread_frozen_before_warm_is_pinned() {
+    let cfg = SimConfig::scaled_down()
+        .warmup(100_000)
+        .instructions(10_000);
+    let mix = [SpecApp::Sjeng, SpecApp::Mcf];
+    for mode in [EngineMode::Serial, EngineMode::Batched] {
+        let info = MixRun::new(&cfg, &mix)
+            .engine_mode(mode)
+            .warm_checkpoint()
+            .info()
+            .unwrap();
+        // mcf warms last, at exactly 100k retired: sjeng's share of the
+        // total must already exceed its 110k quota, i.e. it froze first.
+        assert!(info.total_instr >= 210_000, "sjeng did not freeze first");
+        assert_eq!(info.total_instr, 385_489, "{} engine", mode.label());
+    }
+    let warm = MixRun::new(&cfg, &mix).warm_checkpoint();
+    for (spec, digest) in [
+        (PolicySpec::qbs(), 6_725_789_952_290_405_479),
+        (PolicySpec::eci(), 13_452_067_018_624_155_427),
+    ] {
+        let r = MixRun::new(&cfg, &mix).spec(&spec).resume(&warm).unwrap();
+        assert_eq!(result_digest(&r), digest, "{}", spec.name);
+    }
 }
