@@ -20,9 +20,8 @@
 //! kill, so reports can show e.g. how many of QBS's residual victim
 //! misses come from its query limit rather than from approved evictions.
 
-use std::collections::{HashMap, HashSet};
 use tla_snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use tla_types::LineAddr;
+use tla_types::{LineAddr, LineMap, LineSet};
 
 /// The LLC policy decision that removed a line from a core's caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,9 +98,9 @@ pub enum MissClass {
 pub struct VictimTracker {
     /// Lines the LLC removed from this core, with the policy decision
     /// responsible. Consumed by the next miss on the line.
-    killed: HashMap<u64, VictimCause>,
+    killed: LineMap<VictimCause>,
     /// Every line this core ever demand-missed on (first touch marker).
-    seen: HashSet<u64>,
+    seen: LineSet,
 }
 
 impl VictimTracker {
@@ -114,6 +113,7 @@ impl VictimTracker {
     /// because of `cause`. A later kill of the same line overwrites the
     /// earlier cause (the most recent removal is the one the next miss
     /// pays for).
+    #[inline]
     pub fn note_kill(&mut self, line: LineAddr, cause: VictimCause) {
         self.killed.insert(line.raw(), cause);
     }
@@ -122,6 +122,7 @@ impl VictimTracker {
     /// outstanding kill makes it an inclusion-victim miss (consuming the
     /// kill), a previously-seen line is a capacity miss, a never-seen
     /// line is cold.
+    #[inline]
     pub fn classify(&mut self, line: LineAddr) -> MissClass {
         if let Some(cause) = self.killed.remove(&line.raw()) {
             self.seen.insert(line.raw());

@@ -19,37 +19,44 @@ impl CoreBitmap {
     pub const EMPTY: CoreBitmap = CoreBitmap(0);
 
     /// Creates a bitmap with a single core set.
+    #[inline]
     pub fn single(core: CoreId) -> Self {
         CoreBitmap(1u64 << core.index())
     }
 
     /// Sets the bit for `core`.
+    #[inline]
     pub fn insert(&mut self, core: CoreId) {
         self.0 |= 1u64 << core.index();
     }
 
     /// Clears the bit for `core`.
+    #[inline]
     pub fn remove(&mut self, core: CoreId) {
         self.0 &= !(1u64 << core.index());
     }
 
     /// Whether the bit for `core` is set.
+    #[inline]
     pub fn contains(self, core: CoreId) -> bool {
         self.0 & (1u64 << core.index()) != 0
     }
 
     /// Whether no bits are set.
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// Number of cores marked as possible holders.
+    #[inline]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 
     /// The raw bit pattern, for checkpointing.
     #[must_use]
+    #[inline]
     pub fn to_raw(self) -> u64 {
         self.0
     }
@@ -57,11 +64,13 @@ impl CoreBitmap {
     /// Rebuilds a bitmap from a raw pattern captured by
     /// [`to_raw`](CoreBitmap::to_raw).
     #[must_use]
+    #[inline]
     pub fn from_raw(bits: u64) -> Self {
         CoreBitmap(bits)
     }
 
     /// Iterates over the cores whose bit is set, in ascending order.
+    #[inline]
     pub fn iter(self) -> impl Iterator<Item = CoreId> {
         let mut bits = self.0;
         std::iter::from_fn(move || {

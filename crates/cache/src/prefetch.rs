@@ -89,6 +89,7 @@ impl StreamPrefetcher {
 
     /// Trains on an L2 demand miss and appends the lines to prefetch to
     /// `out` (a reusable buffer: it is *not* cleared here).
+    #[inline]
     pub fn on_l2_miss(&mut self, line: LineAddr, out: &mut Vec<LineAddr>) {
         self.trainings += 1;
         self.stamp += 1;

@@ -72,6 +72,7 @@ impl WayMask {
     }
 
     /// A mask with only bit `way` set.
+    #[inline]
     pub fn single(way: usize) -> WayMask {
         let mut m = WayMask::EMPTY;
         m.set(way);
@@ -280,6 +281,7 @@ pub fn portable_tier(len: usize) -> &'static str {
 /// per-chunk word-indexed read-modify-write stalled there). Both tiers
 /// never straddle a mask word inside a chunk (64 is a multiple of 4 and
 /// of 8), so each chunk's bits land in a single word.
+#[inline]
 pub fn probe_portable(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
     debug_assert!(addrs.len() <= MAX_WAYS);
     if addrs.len() >= PORTABLE_WIDE_THRESHOLD {

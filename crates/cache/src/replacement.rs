@@ -158,11 +158,13 @@ impl Replacer {
     }
 
     /// The PLRU tree words of `set_idx` (empty for other policies).
+    #[inline]
     fn tree(&self, set_idx: usize) -> &[u64] {
         &self.trees[set_idx * self.tree_words..(set_idx + 1) * self.tree_words]
     }
 
     /// Records a demand hit on `way`.
+    #[inline]
     pub fn on_hit(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         match self.policy {
             Policy::Lru => {
@@ -186,12 +188,14 @@ impl Replacer {
     /// the LLC ("update its replacement state [to MRU]", §III-A/C).
     ///
     /// For every policy here promotion coincides with the hit update.
+    #[inline]
     pub fn promote(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         self.on_hit(set_idx, valid, repl, way);
     }
 
     /// Records a fill into `way` (whose `repl` word the caller has reset to
     /// zero and whose `valid` bit is already set in the bitmap).
+    #[inline]
     pub fn on_fill(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         match self.policy {
             Policy::Lru | Policy::Fifo => {
@@ -238,6 +242,7 @@ impl Replacer {
 
     /// Records a demand miss in `set_idx` (used by DRRIP's set dueling; a
     /// miss in a leader set votes against that leader's policy).
+    #[inline]
     pub fn on_miss(&mut self, set_idx: usize) {
         if matches!(self.policy, Policy::Drrip | Policy::Dip) {
             match set_idx % DUEL_MODULUS {
@@ -254,6 +259,7 @@ impl Replacer {
     /// the victim's RRPV reaches the distant value, mirroring the hardware
     /// "increment all until a distant line exists" loop even when the TLA
     /// policy skipped over better candidates.
+    #[inline]
     pub fn on_evict(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         if matches!(self.policy, Policy::Srrip | Policy::Brrip | Policy::Drrip) {
             let delta = RRPV_MAX.saturating_sub(repl[way]);
@@ -291,6 +297,7 @@ impl Replacer {
     /// identical to a full [`Replacer::order_into`] call).
     ///
     /// Returns `None` if the set has no valid line.
+    #[inline]
     pub fn victim(&mut self, set_idx: usize, valid: WayMask, repl: &[u64]) -> Option<usize> {
         match self.policy {
             // Lowest stamp wins; ties (possible via LIP's saturating
@@ -427,6 +434,7 @@ impl Replacer {
     /// NRU reference-bit update: `repl == 1` means "not recently used"
     /// (eviction candidate); touching clears the bit, and when no candidate
     /// remains all *other* valid lines become candidates again.
+    #[inline]
     fn nru_touch(&mut self, valid: WayMask, repl: &mut [u64], way: usize) {
         repl[way] = 0;
         if valid.iter().all(|w| repl[w] == 0) {

@@ -44,7 +44,7 @@ impl CacheStats {
     }
 }
 
-/// Below this associativity `find` keeps an inlined portable scan instead of
+/// Below this associativity `way_of` keeps an inlined portable scan instead of
 /// an indirect call through the dispatched kernel: the L1s (4-way) and L2
 /// (8-way) probe sets too small for the call overhead to pay off, while the
 /// LLC (16-way) and the high-associativity victim experiments go through
@@ -57,7 +57,7 @@ const INLINE_PROBE_WAYS: usize = 8;
 /// Line metadata is stored struct-of-arrays: the single-bit fields (valid,
 /// dirty, policy tag) live in one multi-word [`WayMask`] bitmap per set —
 /// bit `w` describes way `w` — while addresses, replacement words and
-/// directory bits are flat per-way arrays. Presence scans (`find`,
+/// directory bits are flat per-way arrays. Presence scans (`way_of`,
 /// [`SetAssocCache::probe`], the QBS residency queries) compare the dense
 /// per-set address array against the needle with the process-wide
 /// [`probe::probe_kernel`] (AVX2 on capable x86-64, a 4-lane scalar kernel
@@ -156,11 +156,18 @@ impl SetAssocCache {
     }
 
     /// The set index `line` maps to.
+    #[inline]
     pub fn set_of(&self, line: LineAddr) -> usize {
         self.cfg.set_of(line)
     }
 
-    fn find(&self, line: LineAddr) -> Option<usize> {
+    /// The way holding `line`, if it is present. Touches neither
+    /// replacement state nor counters; the line-addressed operations below
+    /// are this lookup followed by their way-indexed (`*_at`) form, and a
+    /// caller acting on one line several times looks it up once and uses
+    /// the `*_at` forms directly.
+    #[inline]
+    pub fn way_of(&self, line: LineAddr) -> Option<usize> {
         let set = self.set_of(line);
         let base = set * self.ways;
         // Tag match through the probe kernel: a way bitmask of address
@@ -178,25 +185,36 @@ impl SetAssocCache {
 
     /// Checks for presence without touching replacement state or counters —
     /// the primitive a QBS query uses.
+    #[inline]
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.find(line).is_some()
+        self.way_of(line).is_some()
     }
 
     /// Looks `line` up as a demand access, updating replacement state and
     /// counters. Returns `true` on a hit.
+    #[inline]
     pub fn touch(&mut self, line: LineAddr) -> bool {
+        self.lookup(line, true).is_some()
+    }
+
+    /// [`SetAssocCache::touch`] returning the hit way, for callers that go
+    /// on to update the hit line through the `*_at` accessors.
+    #[inline]
+    pub fn touch_way(&mut self, line: LineAddr) -> Option<usize> {
         self.lookup(line, true)
     }
 
     /// Looks `line` up as a prefetch access (counted separately). Returns
     /// `true` on a hit.
+    #[inline]
     pub fn touch_prefetch(&mut self, line: LineAddr) -> bool {
-        self.lookup(line, false)
+        self.lookup(line, false).is_some()
     }
 
-    fn lookup(&mut self, line: LineAddr, demand: bool) -> bool {
+    #[inline]
+    fn lookup(&mut self, line: LineAddr, demand: bool) -> Option<usize> {
         let set = self.set_of(line);
-        let hit_way = self.find(line);
+        let hit_way = self.way_of(line);
         if demand {
             self.stats.demand_accesses += 1;
         } else {
@@ -211,7 +229,6 @@ impl SetAssocCache {
                     &mut self.repl[base..base + self.ways],
                     way,
                 );
-                true
             }
             None => {
                 if demand {
@@ -220,53 +237,67 @@ impl SetAssocCache {
                     self.stats.prefetch_misses += 1;
                 }
                 self.replacer.on_miss(set);
-                false
             }
         }
+        hit_way
     }
 
     /// Promotes `line` toward MRU if present (a TLH or QBS replacement-state
     /// update). Returns `true` if the line was present.
+    #[inline]
     pub fn promote(&mut self, line: LineAddr) -> bool {
         let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                let base = set * self.ways;
-                self.replacer.promote(
-                    set,
-                    self.valid[set],
-                    &mut self.repl[base..base + self.ways],
-                    way,
-                );
-                true
-            }
-            None => false,
-        }
+        let Some(way) = self.way_of(line) else {
+            return false;
+        };
+        self.promote_at(set, way);
+        true
+    }
+
+    /// [`SetAssocCache::promote`] of the valid line in (`set`, `way`).
+    #[inline]
+    pub fn promote_at(&mut self, set: usize, way: usize) {
+        let base = set * self.ways;
+        self.replacer.promote(
+            set,
+            self.valid[set],
+            &mut self.repl[base..base + self.ways],
+            way,
+        );
     }
 
     /// Marks `line` dirty if present. Returns `true` if the line was present.
+    #[inline]
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
         let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.dirty[set].set(way);
-                true
-            }
-            None => false,
-        }
+        let Some(way) = self.way_of(line) else {
+            return false;
+        };
+        self.mark_dirty_at(set, way);
+        true
+    }
+
+    /// Marks the valid line in (`set`, `way`) dirty.
+    #[inline]
+    pub fn mark_dirty_at(&mut self, set: usize, way: usize) {
+        self.dirty[set].set(way);
     }
 
     /// Fills `line` choosing the victim with the cache's own policy
     /// (invalid ways first). Returns the displaced line, if any.
     ///
-    /// The hierarchy uses this for core caches; the LLC under TLA policies
-    /// uses the explicit [`SetAssocCache::victim_order_into`] path instead.
+    /// The hierarchy uses this for core caches; the LLC picks its victim
+    /// explicitly ([`SetAssocCache::victim_way`], or
+    /// [`SetAssocCache::victim_order_into`] under QBS and ECI) and then
+    /// calls [`SetAssocCache::evict_way`] and [`SetAssocCache::fill_way`].
+    #[inline]
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
         self.fill_with_cores(line, dirty, CoreBitmap::EMPTY)
     }
 
     /// [`SetAssocCache::fill`] that also sets the LLC directory bits of the
     /// new line.
+    #[inline]
     pub fn fill_with_cores(
         &mut self,
         line: LineAddr,
@@ -274,7 +305,7 @@ impl SetAssocCache {
         cores: CoreBitmap,
     ) -> Option<Evicted> {
         debug_assert!(
-            self.find(line).is_none(),
+            self.way_of(line).is_none(),
             "fill of already-present line {line:?}"
         );
         let set = self.set_of(line);
@@ -293,6 +324,7 @@ impl SetAssocCache {
     }
 
     /// First invalid way of `set`, if any.
+    #[inline]
     pub fn invalid_way(&self, set: usize) -> Option<usize> {
         self.full_mask.and_not(&self.valid[set]).first()
     }
@@ -302,6 +334,7 @@ impl SetAssocCache {
     /// The way-partitioned variant of [`SetAssocCache::invalid_way`]:
     /// DDIO-style injection limits constrain device fills to a subset of
     /// ways, and the partitioned app path avoids the device ways in turn.
+    #[inline]
     pub fn invalid_way_in(&self, set: usize, allowed: &WayMask) -> Option<usize> {
         self.full_mask
             .and(allowed)
@@ -324,18 +357,13 @@ impl SetAssocCache {
     /// Writes the valid ways of `set` in eviction-priority order into `out`
     /// (cleared first). With a reused buffer the call is allocation-free in
     /// steady state.
+    ///
+    /// This ranks (sorts) every valid way; a caller that only needs the
+    /// head wants [`SetAssocCache::victim_way`], which returns the same way
+    /// from one scan.
     pub fn victim_order_into(&mut self, set: usize, out: &mut Vec<(usize, LineAddr)>) {
-        out.clear();
-        let base = set * self.ways;
-        let mut ways = std::mem::take(&mut self.way_scratch);
-        self.replacer.order_into(
-            set,
-            self.valid[set],
-            &self.repl[base..base + self.ways],
-            &mut ways,
-        );
-        out.extend(ways.iter().map(|&w| (w, self.addrs[base + w])));
-        self.way_scratch = ways;
+        let all = self.full_mask;
+        self.victim_order_in_into(set, &all, out);
     }
 
     /// [`SetAssocCache::victim_order_into`] restricted to the ways in
@@ -362,17 +390,19 @@ impl SetAssocCache {
     }
 
     /// The way the policy would evict next and its line address, without
-    /// materializing the full order. Returns `None` if the set is empty.
+    /// materializing the full order: always the head of
+    /// [`SetAssocCache::victim_order`], with the same replacer side effects
+    /// (the Random policy draws the same numbers). Returns `None` if the
+    /// set is empty.
+    #[inline]
     pub fn victim_way(&mut self, set: usize) -> Option<(usize, LineAddr)> {
-        let base = set * self.ways;
-        let w = self
-            .replacer
-            .victim(set, self.valid[set], &self.repl[base..base + self.ways])?;
-        Some((w, self.addrs[base + w]))
+        let all = self.full_mask;
+        self.victim_way_in(set, &all)
     }
 
     /// [`SetAssocCache::victim_way`] restricted to the ways in `allowed`.
     /// Returns `None` if no permitted way holds a valid line.
+    #[inline]
     pub fn victim_way_in(&mut self, set: usize, allowed: &WayMask) -> Option<(usize, LineAddr)> {
         let base = set * self.ways;
         let w = self.replacer.victim(
@@ -385,6 +415,7 @@ impl SetAssocCache {
 
     /// Evicts the line in (`set`, `way`) if valid, returning it. Updates
     /// eviction/writeback counters and lets the policy age the set.
+    #[inline]
     pub fn evict_way(&mut self, set: usize, way: usize) -> Option<Evicted> {
         if !self.valid[set].contains(way) {
             return None;
@@ -421,6 +452,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics (debug) if the slot is still valid or the line maps elsewhere.
+    #[inline]
     pub fn fill_way(
         &mut self,
         set: usize,
@@ -454,70 +486,101 @@ impl SetAssocCache {
 
     /// Invalidates `line` if present, returning its state (dirtiness matters
     /// to the caller: back-invalidated dirty lines must be written back).
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
         let set = self.set_of(line);
-        let way = self.find(line)?;
+        let way = self.way_of(line)?;
         self.evict_way(set, way)
     }
 
     /// Sets the policy tag bit of `line` if present. Returns `true` if the
     /// line was present.
+    #[inline]
     pub fn set_tag(&mut self, line: LineAddr, tag: bool) -> bool {
         let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                if tag {
-                    self.tag[set].set(way);
-                } else {
-                    self.tag[set].clear(way);
-                }
-                true
-            }
-            None => false,
+        let Some(way) = self.way_of(line) else {
+            return false;
+        };
+        self.set_tag_at(set, way, tag);
+        true
+    }
+
+    /// Sets the policy tag bit of the valid line in (`set`, `way`).
+    #[inline]
+    pub fn set_tag_at(&mut self, set: usize, way: usize, tag: bool) {
+        if tag {
+            self.tag[set].set(way);
+        } else {
+            self.tag[set].clear(way);
         }
     }
 
     /// Reads and clears the policy tag bit of `line`. Returns the previous
     /// value, or `None` if the line is absent.
+    #[inline]
     pub fn take_tag(&mut self, line: LineAddr) -> Option<bool> {
         let set = self.set_of(line);
-        let way = self.find(line)?;
+        self.way_of(line).map(|way| self.take_tag_at(set, way))
+    }
+
+    /// Reads and clears the policy tag bit of the valid line in
+    /// (`set`, `way`), returning its previous value.
+    #[inline]
+    pub fn take_tag_at(&mut self, set: usize, way: usize) -> bool {
         let old = self.tag[set].contains(way);
         self.tag[set].clear(way);
-        Some(old)
+        old
     }
 
     /// Adds `core` to the directory bits of `line` (LLC bookkeeping).
     /// Returns `true` if the line was present.
+    #[inline]
     pub fn add_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
         let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.cores[set * self.ways + way].insert(core);
-                true
-            }
-            None => false,
-        }
+        let Some(way) = self.way_of(line) else {
+            return false;
+        };
+        self.add_sharer_at(set, way, core);
+        true
+    }
+
+    /// Adds `core` to the directory bits of the valid line in
+    /// (`set`, `way`).
+    #[inline]
+    pub fn add_sharer_at(&mut self, set: usize, way: usize, core: CoreId) {
+        self.cores[set * self.ways + way].insert(core);
     }
 
     /// Clears the directory bits of `line` (after the cores were
     /// invalidated, e.g. by an ECI message). Returns `true` if the line was
     /// present.
+    #[inline]
     pub fn clear_sharers(&mut self, line: LineAddr) -> bool {
         let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.cores[set * self.ways + way] = CoreBitmap::EMPTY;
-                true
-            }
-            None => false,
-        }
+        let Some(way) = self.way_of(line) else {
+            return false;
+        };
+        self.set_sharers_at(set, way, CoreBitmap::EMPTY);
+        true
+    }
+
+    /// Overwrites the directory bits of the valid line in (`set`, `way`).
+    #[inline]
+    pub fn set_sharers_at(&mut self, set: usize, way: usize, cores: CoreBitmap) {
+        self.cores[set * self.ways + way] = cores;
     }
 
     /// Directory bits of `line`, if present.
+    #[inline]
     pub fn sharers(&self, line: LineAddr) -> Option<CoreBitmap> {
         let set = self.set_of(line);
-        self.find(line).map(|way| self.cores[set * self.ways + way])
+        self.way_of(line).map(|way| self.sharers_at(set, way))
+    }
+
+    /// Directory bits of the valid line in (`set`, `way`).
+    #[inline]
+    pub fn sharers_at(&self, set: usize, way: usize) -> CoreBitmap {
+        self.cores[set * self.ways + way]
     }
 
     /// The directory word of `line` read back as a raw 64-bit value.
@@ -537,13 +600,11 @@ impl SetAssocCache {
     /// [`SetAssocCache::payload`]). Returns `true` if the line was present.
     pub fn set_payload(&mut self, line: LineAddr, value: u64) -> bool {
         let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.cores[set * self.ways + way] = CoreBitmap::from_raw(value);
-                true
-            }
-            None => false,
-        }
+        let Some(way) = self.way_of(line) else {
+            return false;
+        };
+        self.set_sharers_at(set, way, CoreBitmap::from_raw(value));
+        true
     }
 
     /// Number of valid lines currently held (O(sets); for tests and
@@ -797,15 +858,66 @@ mod tests {
         assert!(buf.capacity() >= 4, "buffer survives across calls");
     }
 
+    fn state_bytes(c: &SetAssocCache) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        c.write_state(&mut w);
+        w.finish()
+    }
+
     #[test]
     fn victim_way_matches_order_head() {
-        let mut c = small(Policy::Nru, 1, 4);
-        for i in 0..4 {
-            c.fill(LineAddr::new(i), false);
+        // Under every policy, on sets with and without holes, `victim_way`
+        // is the head of `victim_order` and leaves the cache in exactly
+        // the state the full ordering leaves it (the serialized state
+        // includes the replacer RNG, so Random must draw the same numbers).
+        let policies = [
+            Policy::Lru,
+            Policy::Nru,
+            Policy::Fifo,
+            Policy::Random,
+            Policy::Plru,
+            Policy::Srrip,
+            Policy::Brrip,
+            Policy::Drrip,
+            Policy::Lip,
+            Policy::Bip,
+            Policy::Dip,
+            Policy::Clock,
+        ];
+        for policy in policies {
+            for ways in [4usize, 16, 128] {
+                let sets = 2;
+                let cfg = CacheConfig::with_sets("t", sets, ways, policy).unwrap();
+                let mut c = SetAssocCache::with_seed(cfg, ways as u64);
+                let mut rng = tla_rng::SmallRng::seed_from_u64(0x71a ^ ways as u64);
+                let span = (sets * ways * 2) as u64;
+                for step in 0..1000 {
+                    let line = LineAddr::new(rng.gen_range(0..span));
+                    match rng.gen_range(0u32..8) {
+                        0..=4 => {
+                            if !c.touch(line) {
+                                c.fill(line, false);
+                            }
+                        }
+                        5 | 6 => {
+                            c.promote(line);
+                        }
+                        _ => {
+                            c.invalidate(line);
+                        }
+                    }
+                    let set = c.set_of(line);
+                    let mut ordered = c.clone();
+                    let head = ordered.victim_order(set).first().copied();
+                    let at = format!("{policy} {ways}-way step {step}");
+                    assert_eq!(c.victim_way(set), head, "{at}");
+                    assert!(
+                        state_bytes(&c) == state_bytes(&ordered),
+                        "{at}: victim_way left a different cache state"
+                    );
+                }
+            }
         }
-        c.touch(LineAddr::new(2));
-        let order = c.victim_order(0);
-        assert_eq!(c.victim_way(0), order.first().copied());
         // Empty set has no victim.
         let mut e = small(Policy::Nru, 1, 2);
         assert_eq!(e.victim_way(0), None);

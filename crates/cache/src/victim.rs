@@ -138,6 +138,11 @@ impl VictimCache {
         probe::find_index(&self.addrs, line).is_some()
     }
 
+    /// Directory bits of `line` if parked here (for invariant checks).
+    pub fn sharers(&self, line: LineAddr) -> Option<CoreBitmap> {
+        probe::find_index(&self.addrs, line).map(|i| self.cores[i])
+    }
+
     /// Marks a parked line dirty (a core wrote back while the line was
     /// parked with deferred back-invalidation). Returns `true` if the line
     /// was present.

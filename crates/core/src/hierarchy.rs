@@ -303,9 +303,9 @@ impl CacheHierarchy {
             } else {
                 pc.l1d_accesses += 1;
             }
-            if l1.touch(line) {
+            if let Some(way) = l1.touch_way(line) {
                 if write {
-                    l1.mark_dirty(line);
+                    l1.mark_dirty_at(l1.set_of(line), way);
                 }
                 self.send_tlh(core, line, is_ifetch, false);
                 return DataSource::L1;
@@ -420,21 +420,19 @@ impl CacheHierarchy {
             return (DataSource::Memory, false);
         }
 
-        if self.llc.touch(line) {
-            if self.llc.take_tag(line) == Some(true) {
+        if let Some(way) = self.llc.touch_way(line) {
+            let set = self.llc.set_of(line);
+            if self.llc.take_tag_at(set, way) {
                 // An early-invalidated line was re-referenced in time: ECI
                 // derived its temporal locality (a "hot line rescue").
                 self.global.eci_rescues += 1;
-                if self.has_sink() {
-                    let set = self.llc.set_of(line) as u32;
-                    self.emit(
-                        self.event(EventKind::EciRescue)
-                            .with_core(core)
-                            .with_set(set),
-                    );
-                }
+                self.emit(
+                    self.event(EventKind::EciRescue)
+                        .with_core(core)
+                        .with_set(set as u32),
+                );
             }
-            self.llc.add_sharer(line, core);
+            self.llc.add_sharer_at(set, way, core);
             return (DataSource::Llc, false);
         }
         self.per_core[ci].llc_misses += 1;
@@ -490,35 +488,47 @@ impl CacheHierarchy {
                     Some(m) => self.llc.victim_way_in(set, m),
                     None => self.llc.victim_way(set),
                 };
-                if let Some((_, target)) = next {
+                if let Some((next_way, target)) = next {
                     if target != line {
-                        self.eci_invalidate(target);
+                        self.eci_invalidate(set, next_way, target);
                     }
                 }
             }
             return;
         }
 
+        // QBS walks the whole eviction order and ECI needs its second
+        // entry (the "next LRU line"); every other policy takes the victim
+        // from one scan of the set, which is always the order's head.
         let mut order = std::mem::take(&mut self.order_buf);
-        match &allowed {
-            Some(m) => self.llc.victim_order_in_into(set, m, &mut order),
-            None => self.llc.victim_order_into(set, &mut order),
+        order.clear();
+        if matches!(self.tla, TlaPolicy::Qbs(_) | TlaPolicy::Eci) {
+            match &allowed {
+                Some(m) => self.llc.victim_order_in_into(set, m, &mut order),
+                None => self.llc.victim_order_into(set, &mut order),
+            }
+            debug_assert!(!order.is_empty());
         }
-        debug_assert!(!order.is_empty());
-
-        let (chosen, cause) = match self.tla {
+        let (way, cause) = match self.tla {
             TlaPolicy::Qbs(cfg) => {
-                let (i, limit_forced) = self.qbs_select(&order, cfg);
+                let (i, limit_forced) = self.qbs_select(set, &order, cfg);
                 let cause = if limit_forced {
                     VictimCause::QbsLimit
                 } else {
                     VictimCause::Replacement
                 };
-                (i, cause)
+                (order[i].0, cause)
             }
-            _ => (0, VictimCause::Replacement),
+            TlaPolicy::Eci => (order[0].0, VictimCause::Replacement),
+            _ => {
+                let victim = match &allowed {
+                    Some(m) => self.llc.victim_way_in(set, m),
+                    None => self.llc.victim_way(set),
+                };
+                let (way, _) = victim.expect("full set must have a victim");
+                (way, VictimCause::Replacement)
+            }
         };
-        let (way, _) = order[chosen];
 
         let ev = self
             .llc
@@ -539,11 +549,11 @@ impl CacheHierarchy {
 
         // ECI: pick the *next* potential victim and invalidate it early in
         // the core caches, keeping it in the LLC (§III-B). `order` was
-        // computed before the fill, so order[chosen] was the victim and
-        // order[chosen + 1] is the next LRU line.
+        // computed before the fill, so order[0] was the victim and
+        // order[1] is the next LRU line.
         if self.tla == TlaPolicy::Eci {
-            if let Some(&(_, target)) = order.get(chosen + 1) {
-                self.eci_invalidate(target);
+            if let Some(&(next_way, target)) = order.get(1) {
+                self.eci_invalidate(set, next_way, target);
             }
         }
 
@@ -651,20 +661,26 @@ impl CacheHierarchy {
         self.io.as_ref().map(|io| io.per_agent.as_slice())
     }
 
-    /// QBS victim selection: walk candidates in replacement order, querying
-    /// the core caches; rejected candidates are promoted to MRU. Returns the
-    /// index into `order` of the line to evict, and whether the pick was
-    /// *limit-forced* — evicted despite (possibly) being core-resident
-    /// because the query budget ran out (attribution tags such kills
-    /// [`VictimCause::QbsLimit`]).
-    fn qbs_select(&mut self, order: &[(usize, LineAddr)], cfg: QbsConfig) -> (usize, bool) {
-        // All candidates share one set; resolve it once for telemetry.
-        let set = if self.has_sink() {
-            order.first().map(|&(_, l)| self.llc.set_of(l) as u32)
-        } else {
-            None
-        };
-        for (i, &(_, cand)) in order.iter().enumerate() {
+    /// QBS victim selection: walk the candidates of LLC `set` in
+    /// replacement order, querying the core caches; rejected candidates are
+    /// promoted to MRU. Returns the index into `order` of the line to evict,
+    /// and whether the pick was *limit-forced* — evicted despite (possibly)
+    /// being core-resident because the query budget ran out (attribution
+    /// tags such kills [`VictimCause::QbsLimit`]).
+    ///
+    /// In an inclusive hierarchy a query goes only to the cores named in
+    /// the candidate's directory bits: those bits are a superset of the
+    /// cores holding the line, so the answer equals a scan of every core
+    /// (a debug assertion checks this). Non-inclusive and exclusive LLCs
+    /// are not snoop filters, and their queries scan every core.
+    fn qbs_select(
+        &mut self,
+        llc_set: usize,
+        order: &[(usize, LineAddr)],
+        cfg: QbsConfig,
+    ) -> (usize, bool) {
+        let set = self.has_sink().then_some(llc_set as u32);
+        for (i, &(way, cand)) in order.iter().enumerate() {
             // `i` queries have been issued so far, one per prior candidate.
             if i >= cfg.max_queries {
                 // Query budget exhausted: evict this candidate unqueried.
@@ -678,10 +694,23 @@ impl CacheHierarchy {
             if let Some(s) = set {
                 self.emit(self.event(EventKind::QbsQuery).with_set(s));
             }
-            let resident = self
-                .cores
-                .iter()
-                .any(|cc| cc.holds(cand, cfg.check_l1i, cfg.check_l1d, cfg.check_l2));
+            let holds =
+                |cc: &CoreCaches| cc.holds(cand, cfg.check_l1i, cfg.check_l1d, cfg.check_l2);
+            let resident = if self.inclusion == InclusionPolicy::Inclusive {
+                let filtered = self
+                    .llc
+                    .sharers_at(llc_set, way)
+                    .iter()
+                    .any(|c| holds(&self.cores[c.index()]));
+                debug_assert_eq!(
+                    filtered,
+                    self.cores.iter().any(holds),
+                    "directory bits of {cand:?} miss a core holding it"
+                );
+                filtered
+            } else {
+                self.cores.iter().any(holds)
+            };
             if !resident {
                 return (i, false);
             }
@@ -689,11 +718,11 @@ impl CacheHierarchy {
             if let Some(s) = set {
                 self.emit(self.event(EventKind::QbsRejection).with_set(s));
             }
-            self.llc.promote(cand);
+            self.llc.promote_at(llc_set, way);
             if cfg.invalidate_on_query {
                 // "Modified QBS" (§V-E footnote 6): also evict the rejected
                 // candidate from the core caches, like ECI would.
-                self.eci_invalidate(cand);
+                self.eci_invalidate(llc_set, way, cand);
             }
         }
         // Every line in the set is resident in a core cache (only possible
@@ -714,18 +743,13 @@ impl CacheHierarchy {
         (order.len() - 1, true)
     }
 
-    /// Sends an early invalidation for `target` to the cores in its
-    /// directory bits; the line stays in the LLC (tagged so a rescue can be
-    /// counted) and its directory bits are cleared.
-    fn eci_invalidate(&mut self, target: LineAddr) {
-        let Some(sharers) = self.llc.sharers(target) else {
-            return;
-        };
-        let set = if self.has_sink() {
-            Some(self.llc.set_of(target) as u32)
-        } else {
-            None
-        };
+    /// Sends an early invalidation for `target`, the valid LLC line in
+    /// (`llc_set`, `way`), to the cores in its directory bits; the line
+    /// stays in the LLC (tagged so a rescue can be counted) and its
+    /// directory bits are cleared.
+    fn eci_invalidate(&mut self, llc_set: usize, way: usize, target: LineAddr) {
+        let sharers = self.llc.sharers_at(llc_set, way);
+        let set = self.has_sink().then_some(llc_set as u32);
         for c in sharers.iter() {
             self.global.eci_invalidates += 1;
             if let Some(s) = set {
@@ -739,8 +763,8 @@ impl CacheHierarchy {
                 self.trackers[c.index()].note_kill(target, VictimCause::Eci);
             }
         }
-        self.llc.clear_sharers(target);
-        self.llc.set_tag(target, true);
+        self.llc.set_sharers_at(llc_set, way, CoreBitmap::EMPTY);
+        self.llc.set_tag_at(llc_set, way, true);
     }
 
     /// Applies the configured inclusion behaviour to an LLC eviction.
@@ -1084,6 +1108,32 @@ impl CacheHierarchy {
                     let in_vc = self.victim.as_ref().is_some_and(|vc| vc.probe(l.addr));
                     if !self.llc.probe(l.addr) && !in_vc {
                         return Some((CoreId::new(i), l.addr));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Verifies that the LLC directory bits are a superset of residency in
+    /// inclusive mode: every line core `c` holds in its L1I, L1D or L2 has
+    /// bit `c` set in its LLC line, or in its victim-cache entry while the
+    /// line is parked there. The directory-filtered QBS query relies on
+    /// this. Returns the first violating line, if any. O(cache size).
+    pub fn find_directory_violation(&self) -> Option<(CoreId, LineAddr)> {
+        if self.inclusion != InclusionPolicy::Inclusive {
+            return None;
+        }
+        for (i, cc) in self.cores.iter().enumerate() {
+            let core = CoreId::new(i);
+            for cache in [&cc.l1i, &cc.l1d, &cc.l2] {
+                for l in cache.iter_valid() {
+                    let bits = self
+                        .llc
+                        .sharers(l.addr)
+                        .or_else(|| self.victim.as_ref().and_then(|vc| vc.sharers(l.addr)));
+                    if !bits.is_some_and(|b| b.contains(core)) {
+                        return Some((core, l.addr));
                     }
                 }
             }

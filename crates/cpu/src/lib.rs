@@ -64,6 +64,7 @@ impl Default for Latencies {
 
 impl Latencies {
     /// The load-to-use latency for data arriving from `source`.
+    #[inline]
     pub fn of(&self, source: DataSource) -> Cycle {
         match source {
             DataSource::L1 => self.l1,
@@ -180,6 +181,7 @@ impl CoreModel {
     ///   the already-resident line and pass `None`).
     /// * `mem` — the data access the instruction performed, if any, with
     ///   the level that serviced it.
+    #[inline]
     pub fn step(
         &mut self,
         ifetch: Option<DataSource>,

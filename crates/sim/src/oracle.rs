@@ -25,10 +25,9 @@
 //! reference and a line-address map, both sized up front.
 
 use crate::config::SimConfig;
-use std::collections::HashMap;
 use tla_cache::probe::{self, WayMask};
 use tla_core::HierarchyConfig;
-use tla_types::LineAddr;
+use tla_types::{LineAddr, LineMap};
 use tla_workloads::{SpecApp, TraceSource};
 
 /// Sentinel next-use index: the line is never referenced again.
@@ -79,7 +78,7 @@ pub fn belady(refs: &[LineAddr], warm_len: usize, sets: usize, ways: usize) -> O
     // Backward pass: next_use[i] = index of the next reference to the
     // same line after i, or NEVER.
     let mut next_use = vec![NEVER; refs.len()];
-    let mut last: HashMap<u64, u64> = HashMap::with_capacity(1024);
+    let mut last: LineMap<u64> = LineMap::with_capacity_and_hasher(1024, Default::default());
     for i in (0..refs.len()).rev() {
         next_use[i] = last.insert(refs[i].raw(), i as u64).unwrap_or(NEVER);
     }
@@ -197,7 +196,8 @@ fn replay_set_queue(queue: &[(u64, u64)], warm_len: u64, ways: usize) -> (u64, u
     // the same set's queue, so the global next-use indices come out
     // identical to the whole-stream pass.
     let mut next_use = vec![NEVER; queue.len()];
-    let mut last: HashMap<u64, u64> = HashMap::with_capacity(queue.len().min(1024));
+    let mut last: LineMap<u64> =
+        LineMap::with_capacity_and_hasher(queue.len().min(1024), Default::default());
     for k in (0..queue.len()).rev() {
         next_use[k] = last.insert(queue[k].1, queue[k].0).unwrap_or(NEVER);
     }

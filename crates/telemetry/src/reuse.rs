@@ -17,8 +17,8 @@
 //! number of other accesses the sampled set served between two touches of
 //! the same line. First touches are counted separately as cold.
 
-use std::collections::HashMap;
 use std::fmt;
+use tla_types::LineMap;
 
 use crate::event::{EventKind, TelemetryEvent};
 use crate::json::JsonValue;
@@ -227,7 +227,7 @@ struct SetState {
     /// Accesses this set has served (the set-local clock).
     clock: u64,
     /// Line address -> clock value of its previous access.
-    last: HashMap<u64, u64>,
+    last: LineMap<u64>,
     hist: ReuseHistogram,
 }
 
@@ -269,7 +269,7 @@ impl ReuseProfiler {
             .map(|set| SetState {
                 set,
                 clock: 0,
-                last: HashMap::new(),
+                last: LineMap::default(),
                 hist: ReuseHistogram::new(num_buckets),
             })
             .collect::<Vec<_>>();

@@ -18,9 +18,11 @@
 //! ```
 
 pub mod counters;
+pub mod hash;
 pub mod stats;
 
 pub use counters::{GlobalStats, IoAgentStats, IoStats, PerCoreStats};
+pub use hash::{BuildLineHasher, LineHasher, LineMap, LineSet};
 
 use std::fmt;
 
@@ -37,16 +39,19 @@ pub struct Addr(u64);
 
 impl Addr {
     /// Creates an address from a raw byte value.
+    #[inline]
     pub const fn new(raw: u64) -> Self {
         Addr(raw)
     }
 
     /// The raw byte value.
+    #[inline]
     pub const fn raw(self) -> u64 {
         self.0
     }
 
     /// The cache line this byte falls in.
+    #[inline]
     pub const fn line(self) -> LineAddr {
         LineAddr(self.0 >> LINE_SHIFT)
     }
@@ -94,11 +99,13 @@ pub struct LineAddr(u64);
 impl LineAddr {
     /// Creates a line address from a raw line number (byte address divided
     /// by [`LINE_BYTES`]).
+    #[inline]
     pub const fn new(raw: u64) -> Self {
         LineAddr(raw)
     }
 
     /// The raw line number.
+    #[inline]
     pub const fn raw(self) -> u64 {
         self.0
     }
@@ -147,12 +154,14 @@ impl CoreId {
     /// # Panics
     ///
     /// Panics if `id >= MAX_CORES`.
+    #[inline]
     pub fn new(id: usize) -> Self {
         assert!(id < Self::MAX_CORES, "core id {id} out of range");
         CoreId(id as u8)
     }
 
     /// The 0-based index of the core.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -179,17 +188,20 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// Whether the access dirties the line it touches.
+    #[inline]
     pub const fn is_write(self) -> bool {
         matches!(self, AccessKind::Store)
     }
 
     /// Whether the access is a demand access (something the program asked
     /// for, as opposed to a hardware prefetch).
+    #[inline]
     pub const fn is_demand(self) -> bool {
         !matches!(self, AccessKind::Prefetch)
     }
 
     /// Whether the access targets the instruction side of the L1.
+    #[inline]
     pub const fn is_ifetch(self) -> bool {
         matches!(self, AccessKind::IFetch)
     }
@@ -271,6 +283,7 @@ impl fmt::Display for DataSource {
 
 impl DataSource {
     /// True when the access missed every on-chip cache.
+    #[inline]
     pub const fn is_memory(self) -> bool {
         matches!(self, DataSource::Memory)
     }

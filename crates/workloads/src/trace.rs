@@ -121,6 +121,7 @@ impl PatternState {
         }
     }
 
+    #[inline]
     fn next_line(&mut self, rng: &mut SmallRng) -> u64 {
         match self {
             PatternState::Loop {
@@ -367,6 +368,7 @@ impl Snapshot for SyntheticTrace {
 }
 
 impl TraceSource for SyntheticTrace {
+    #[inline]
     fn next_instruction(&mut self) -> Instruction {
         self.generated += 1;
         let instr_per_line = LINE_BYTES as u64 / INSTR_BYTES;

@@ -5,7 +5,7 @@
 //! failure names the exact case to replay — the offline stand-in for the
 //! proptest strategies this suite originally used.
 
-use tla::cache::{CacheConfig, Policy, SetAssocCache};
+use tla::cache::{CacheConfig, Policy, SetAssocCache, StreamPrefetcherConfig};
 use tla::core::{CacheHierarchy, HierarchyConfig, InclusionPolicy, TlaPolicy, VictimCacheConfig};
 use tla::rng::SmallRng;
 use tla::types::{AccessKind, CoreId, DataSource, LineAddr};
@@ -67,6 +67,68 @@ fn inclusion_invariant_holds() {
         let mut h = CacheHierarchy::new(&cfg);
         drive(&mut h, &stream);
         assert_eq!(h.find_inclusion_violation(), None, "case {case}");
+    }
+}
+
+/// In the inclusive hierarchy the LLC directory bits are a superset of
+/// residency: every line a core holds has that core's bit set in its LLC
+/// line, or in its victim-cache entry while it is parked there. The
+/// directory-filtered QBS query is exact only because of this. Checked
+/// after every access under every TLA policy, on one- and multi-set
+/// geometries, with and without a victim cache and the stream prefetcher.
+#[test]
+fn directory_bits_cover_core_residency() {
+    let policies = [
+        TlaPolicy::baseline(),
+        TlaPolicy::tlh_il1(),
+        TlaPolicy::tlh_dl1(),
+        TlaPolicy::tlh_l1(),
+        TlaPolicy::tlh_l2(),
+        TlaPolicy::tlh_l1_l2(),
+        TlaPolicy::tlh_l1_filtered(0.5),
+        TlaPolicy::eci(),
+        TlaPolicy::qbs(),
+        TlaPolicy::qbs_l1(),
+        TlaPolicy::qbs_limited(1),
+        TlaPolicy::qbs_invalidating(),
+    ];
+    let kinds = [AccessKind::IFetch, AccessKind::Load, AccessKind::Store];
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x1A_9000 + case);
+        let tla = policies[case as usize % policies.len()];
+        let cores = rng.gen_range(2usize..5);
+        let mut cfg = HierarchyConfig::tiny_fig3().cores(cores).tla(tla);
+        if case % 2 == 1 {
+            let geom = |name: &str, sets: usize, ways: usize, policy: Policy| {
+                CacheConfig::with_sets(name, sets, ways, policy).unwrap()
+            };
+            cfg = cfg
+                .geometries(
+                    geom("L1I", 2, 2, Policy::Lru),
+                    geom("L1D", 2, 2, Policy::Lru),
+                    geom("L2", 4, 2, Policy::Lru),
+                    geom("LLC", 4, 4, Policy::Nru),
+                )
+                .unwrap();
+        }
+        if rng.gen_bool(0.5) {
+            let entries = rng.gen_range(1usize..6);
+            cfg = cfg.victim_cache(VictimCacheConfig { entries });
+        }
+        if rng.gen_bool(0.5) {
+            cfg = cfg.prefetcher(Some(StreamPrefetcherConfig::default()));
+        }
+        let mut h = CacheHierarchy::new(&cfg);
+        for step in 0..rng.gen_range(1usize..400) {
+            let core = CoreId::new(rng.gen_range(0..cores));
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            h.access(core, LineAddr::new(rng.gen_range(0u64..48)), kind);
+            assert_eq!(
+                h.find_directory_violation(),
+                None,
+                "case {case} step {step} ({tla:?})"
+            );
+        }
     }
 }
 
