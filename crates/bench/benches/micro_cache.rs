@@ -80,18 +80,18 @@ fn bench_hierarchy_access(ms: u64, with_sink: bool) -> Vec<Measurement> {
     .collect()
 }
 
-/// Per-scan cost of each probe kernel at representative widths: the LLC's
-/// 16 ways, the old 64-way bitmap ceiling, and the wide victim-cache
-/// sweeps the multi-word masks unlock. The needle mostly misses (as real
+/// Per-scan cost of each probe kernel at the LLC's 16 ways and the 64-way
+/// set limit, and of the victim cache's chunked `find_index` scan at the
+/// 128- and 256-entry `vc<N>` sizes. The needle mostly misses (as real
 /// probes do); `black_box` on both inputs keeps the compiler from
 /// specializing a kernel to the fixed array.
 fn bench_probe_kernels(ms: u64) -> Vec<Measurement> {
-    use tla_cache::probe::{probe_naive, probe_portable, ProbeFn};
+    use tla_cache::probe::{find_index, probe_naive, probe_portable, ProbeFn};
+    let addrs_of =
+        |n: u64| -> Vec<LineAddr> { (0..n).map(|i| LineAddr::new(i * 64 + 7)).collect() };
     let mut out = Vec::new();
-    for &ways in &[16usize, 64, 128, 256] {
-        let addrs: Vec<LineAddr> = (0..ways as u64)
-            .map(|i| LineAddr::new(i * 64 + 7))
-            .collect();
+    for ways in [16u64, 64] {
+        let addrs = addrs_of(ways);
         let mut kernels: Vec<(&str, ProbeFn)> =
             vec![("naive", probe_naive), ("scalar4", probe_portable)];
         #[cfg(target_arch = "x86_64")]
@@ -101,12 +101,22 @@ fn bench_probe_kernels(ms: u64) -> Vec<Measurement> {
         for (name, func) in kernels {
             let mut i = 0u64;
             let m = time_it(&format!("probe/{name}/ways{ways}"), ms, || {
-                let needle = LineAddr::new(i.wrapping_mul(0x9E37_79B9) % (ways as u64 * 64));
+                let needle = LineAddr::new(i.wrapping_mul(0x9E37_79B9) % (ways * 64));
                 black_box(func(black_box(&addrs), needle));
                 i += 1;
             });
             out.push(m);
         }
+    }
+    for entries in [128u64, 256] {
+        let addrs = addrs_of(entries);
+        let mut i = 0u64;
+        let m = time_it(&format!("probe/find_index/entries{entries}"), ms, || {
+            let needle = LineAddr::new(i.wrapping_mul(0x9E37_79B9) % (entries * 64));
+            black_box(find_index(black_box(&addrs), needle));
+            i += 1;
+        });
+        out.push(m);
     }
     out
 }

@@ -18,6 +18,7 @@
 //! victim selection scans the set directly and ordering fills a
 //! caller-provided buffer — because they sit on the LLC miss path.
 
+use crate::config::MAX_WAYS;
 use crate::probe::WayMask;
 use std::fmt;
 use tla_rng::SmallRng;
@@ -108,11 +109,9 @@ pub struct Replacer {
     fills: u64,
     /// DRRIP policy-selection counter; >= 0 favours SRRIP.
     psel: i32,
-    /// PLRU tree bits, [`Replacer::tree_words`] words per set (internal
-    /// nodes 1..ways fit in `ways` bits, so one word per 64 ways).
+    /// PLRU tree bits, one word per set (internal nodes 1..ways fit in
+    /// `ways` <= 64 bits); empty for every policy but PLRU.
     trees: Vec<u64>,
-    /// Words per set in `trees` (0 for every policy but PLRU).
-    tree_words: usize,
     /// Reusable shuffle buffer for the Random policy's victim selection
     /// (keeps `victim` allocation-free while consuming the RNG stream
     /// exactly like a full set shuffle).
@@ -128,24 +127,20 @@ pub struct Replacer {
 
 impl Replacer {
     /// Creates replacement state for a cache with `sets` sets of `ways`
-    /// ways (`ways` sizes the per-set PLRU tree storage).
+    /// ways.
     ///
     /// `seed` feeds the Random policy (and BRRIP/DRRIP tie-breaking); runs
     /// with equal seeds are fully deterministic.
     pub fn new(policy: Policy, sets: usize, ways: usize, seed: u64) -> Self {
-        let tree_words = if policy == Policy::Plru {
-            ways.div_ceil(64)
-        } else {
-            0
-        };
+        debug_assert!(ways <= MAX_WAYS, "{ways} ways exceeds MAX_WAYS");
+        let tree_sets = if policy == Policy::Plru { sets } else { 0 };
         let hand_sets = if policy == Policy::Clock { sets } else { 0 };
         Replacer {
             policy,
             stamp: 0,
             fills: 0,
             psel: 0,
-            trees: vec![0; sets * tree_words],
-            tree_words,
+            trees: vec![0; tree_sets],
             scratch: Vec::new(),
             hands: vec![0; hand_sets],
             rng: SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A_71A5_EED0),
@@ -155,12 +150,6 @@ impl Replacer {
     /// The policy this replacer implements.
     pub fn policy(&self) -> Policy {
         self.policy
-    }
-
-    /// The PLRU tree words of `set_idx` (empty for other policies).
-    #[inline]
-    fn tree(&self, set_idx: usize) -> &[u64] {
-        &self.trees[set_idx * self.tree_words..(set_idx + 1) * self.tree_words]
     }
 
     /// Records a demand hit on `way`.
@@ -334,7 +323,7 @@ impl Replacer {
                 }
                 self.scratch.first().copied()
             }
-            Policy::Plru => plru_first_valid(self.tree(set_idx), 1, repl.len(), valid),
+            Policy::Plru => plru_first_valid(self.trees[set_idx], 1, repl.len(), valid),
             // First unreferenced valid way at/after the hand; a fully
             // referenced set wraps and the hand's own way loses (its bit —
             // and everyone else's — is cleared by `on_evict`). Pure: the
@@ -410,7 +399,7 @@ impl Replacer {
             Policy::Plru => {
                 // The tree walk emits leaves in eviction-rank order;
                 // filtering to valid ways preserves it.
-                plru_walk_into(self.tree(set_idx), 1, repl.len(), valid, out);
+                plru_walk_into(self.trees[set_idx], 1, repl.len(), valid, out);
             }
             Policy::Srrip | Policy::Brrip | Policy::Drrip => {
                 // Higher RRPV is evicted sooner; ties broken by way index
@@ -486,24 +475,22 @@ impl Replacer {
     // --- PLRU --------------------------------------------------------
     //
     // Classic binary-tree PLRU: node bits select the colder child
-    // (0 = left, 1 = right). Nodes are stored heap-style in `tree_words`
-    // words per set: node 1 is the root, node n has children 2n and 2n+1;
-    // for `ways` leaves, nodes 1..ways are internal and leaf w corresponds
-    // to heap position ways + w. Internal-node bits fit in `ways` bits, so
-    // associativities past 64 simply span more words.
+    // (0 = left, 1 = right). Nodes are stored heap-style in one word per
+    // set: node 1 is the root, node n has children 2n and 2n+1; for `ways`
+    // leaves, nodes 1..ways are internal and leaf w corresponds to heap
+    // position ways + w.
 
     fn plru_touch(&mut self, set_idx: usize, ways: usize, way: usize) {
-        let base = set_idx * self.tree_words;
-        let tree = &mut self.trees[base..base + self.tree_words];
+        let tree = &mut self.trees[set_idx];
         let mut node = ways + way;
         while node > 1 {
             let parent = node / 2;
             let came_from_right = node & 1 == 1;
             // Point the bit away from the touched leaf.
             if came_from_right {
-                tree[parent >> 6] &= !(1u64 << (parent & 63));
+                *tree &= !(1u64 << parent);
             } else {
-                tree[parent >> 6] |= 1u64 << (parent & 63);
+                *tree |= 1u64 << parent;
             }
             node = parent;
         }
@@ -514,9 +501,7 @@ impl Snapshot for Replacer {
     // The policy itself and the scratch buffer are configuration/transient
     // state: the receiver is constructed with its own policy (the warm-start
     // fan-out deliberately resumes one warm state under *different* LLC
-    // policies), and scratch contents never outlive a call. `tree_words` is
-    // geometry, rebuilt from the config; for up to 64 ways the tree stride
-    // is one word per set, so pre-multi-word images decode unchanged.
+    // policies), and scratch contents never outlive a call.
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.write_u64(self.stamp);
         w.write_u64(self.fills);
@@ -532,7 +517,7 @@ impl Snapshot for Replacer {
         self.psel = i32::try_from(psel)
             .map_err(|_| SnapshotError::Corrupt(format!("PSEL value {psel} out of range")))?;
         let trees = r.read_u64_vec()?;
-        // PLRU keeps tree words per set, every other policy keeps none.
+        // PLRU keeps a tree word per set, every other policy keeps none.
         // A PLRU replacer can only resume a snapshot taken under PLRU with
         // the same geometry; non-PLRU replacers interchange freely.
         if trees.len() != self.trees.len() && !trees.is_empty() && !self.trees.is_empty() {
@@ -555,16 +540,16 @@ impl Snapshot for Replacer {
     }
 }
 
-/// Reads bit `node` of a multi-word PLRU tree.
+/// Reads bit `node` of a PLRU tree.
 #[inline]
-fn tree_bit(tree: &[u64], node: usize) -> usize {
-    ((tree[node >> 6] >> (node & 63)) & 1) as usize
+fn tree_bit(tree: u64, node: usize) -> usize {
+    ((tree >> node) & 1) as usize
 }
 
 /// Walks the PLRU tree emitting *valid* leaves in eviction-rank order:
 /// within a subtree, the pointed-to child's leaves all come before the
-/// other child's leaves. Recursion depth is log2(ways) <= 8.
-fn plru_walk_into(tree: &[u64], node: usize, ways: usize, valid: WayMask, out: &mut Vec<usize>) {
+/// other child's leaves. Recursion depth is log2(ways) <= 6.
+fn plru_walk_into(tree: u64, node: usize, ways: usize, valid: WayMask, out: &mut Vec<usize>) {
     if node >= ways {
         let w = node - ways;
         if valid.contains(w) {
@@ -579,7 +564,7 @@ fn plru_walk_into(tree: &[u64], node: usize, ways: usize, valid: WayMask, out: &
 
 /// The first valid leaf the PLRU tree walk reaches — the victim — without
 /// materializing the full order.
-fn plru_first_valid(tree: &[u64], node: usize, ways: usize, valid: WayMask) -> Option<usize> {
+fn plru_first_valid(tree: u64, node: usize, ways: usize, valid: WayMask) -> Option<usize> {
     if node >= ways {
         let w = node - ways;
         return valid.contains(w).then_some(w);
@@ -596,18 +581,6 @@ mod tests {
     /// A full set of `n` ways with zeroed policy words.
     fn set_of(n: usize) -> (WayMask, Vec<u64>) {
         (WayMask::all(n), vec![0; n])
-    }
-
-    /// A way mask from a low-word bit pattern (test shorthand).
-    fn mask(bits_pattern: u64) -> WayMask {
-        let mut m = WayMask::EMPTY;
-        let mut v = bits_pattern;
-        while v != 0 {
-            let w = v.trailing_zeros() as usize;
-            v &= v - 1;
-            m.set(w);
-        }
-        m
     }
 
     /// Convenience wrapper collecting `order_into` output.
@@ -795,7 +768,7 @@ mod tests {
     fn plru_victim_matches_order_head_with_invalid_ways() {
         let mut r = Replacer::new(Policy::Plru, 1, 8, 0);
         let (_, mut repl) = set_of(8);
-        let valid = mask(0b1011_0101); // holes in the leaf row
+        let valid = WayMask::from_bits(0b1011_0101); // holes in the leaf row
         for w in valid.iter() {
             r.on_fill(0, valid, &mut repl, w);
         }
@@ -805,21 +778,22 @@ mod tests {
     }
 
     #[test]
-    fn plru_works_past_64_ways() {
-        // 128 leaves -> 128 internal-node bits spanning two tree words.
-        let mut r = Replacer::new(Policy::Plru, 2, 128, 0);
-        let (valid, mut repl) = set_of(128);
+    fn plru_works_at_64_ways() {
+        // 64 leaves -> internal nodes 1..=63, the last one the tree word's
+        // top bit.
+        let mut r = Replacer::new(Policy::Plru, 2, 64, 0);
+        let (valid, mut repl) = set_of(64);
         for set in 0..2 {
-            for w in 0..128 {
+            for w in 0..64 {
                 r.on_fill(set, valid, &mut repl, w);
             }
             let mut o = order(&mut r, set, valid, &repl);
-            assert_eq!(o.len(), 128);
-            // The last touch (way 127) must be deepest in the order.
-            assert_eq!(*o.last().unwrap(), 127);
+            assert_eq!(o.len(), 64);
+            // The last touch (way 63) must be deepest in the order.
+            assert_eq!(*o.last().unwrap(), 63);
             assert_eq!(r.victim(set, valid, &repl), o.first().copied());
             o.sort_unstable();
-            assert_eq!(o, (0..128).collect::<Vec<_>>());
+            assert_eq!(o, (0..64).collect::<Vec<_>>());
         }
         // Touching the victim moves it off the head.
         let v = r.victim(0, valid, &repl).unwrap();
@@ -831,7 +805,7 @@ mod tests {
     fn order_skips_invalid_ways() {
         let mut r = Replacer::new(Policy::Lru, 1, 4, 0);
         let (_, mut repl) = set_of(4);
-        let valid = mask(0b1011); // way 2 invalid
+        let valid = WayMask::from_bits(0b1011); // way 2 invalid
         for w in [0, 1, 3] {
             r.on_fill(0, valid, &mut repl, w);
         }
@@ -885,7 +859,7 @@ mod tests {
     fn clock_victim_matches_order_head() {
         let mut r = Replacer::new(Policy::Clock, 1, 8, 0);
         let (_, mut repl) = set_of(8);
-        let valid = mask(0b1101_0111);
+        let valid = WayMask::from_bits(0b1101_0111);
         for w in valid.iter() {
             r.on_fill(0, valid, &mut repl, w);
         }

@@ -55,15 +55,15 @@ const INLINE_PROBE_WAYS: usize = 8;
 /// trace-driven; no data payloads are modelled).
 ///
 /// Line metadata is stored struct-of-arrays: the single-bit fields (valid,
-/// dirty, policy tag) live in one multi-word [`WayMask`] bitmap per set —
+/// dirty, policy tag) live in one one-word [`WayMask`] bitmap per set —
 /// bit `w` describes way `w` — while addresses, replacement words and
 /// directory bits are flat per-way arrays. Presence scans (`way_of`,
 /// [`SetAssocCache::probe`], the QBS residency queries) compare the dense
 /// per-set address array against the needle with the process-wide
 /// [`probe::probe_kernel`] (AVX2 on capable x86-64, a 4-lane scalar kernel
-/// elsewhere) and mask by validity; clearing a way is a handful of
-/// bit-ands. The layout caps associativity at
-/// [`MAX_WAYS`](crate::config::MAX_WAYS) = 256, which
+/// elsewhere) and mask by validity; clearing a way is one bit-and. The
+/// layout caps associativity at
+/// [`MAX_WAYS`](crate::config::MAX_WAYS) = 64, which
 /// [`CacheConfig`](crate::config::CacheConfig) enforces.
 ///
 /// Replacement bookkeeping is delegated to a [`Replacer`]; the hierarchy
@@ -658,40 +658,30 @@ impl Snapshot for CacheStats {
     }
 }
 
-/// Serializes per-set [`WayMask`]es as a plain `u64` slice holding only the
-/// words a given associativity needs (`ways.div_ceil(64)` per set). For up
-/// to 64 ways this is byte-identical to the pre-multi-word format (one word
-/// per set), so old single-word TLAS images still load and narrow caches
-/// produce unchanged checkpoints.
-fn write_mask_slice(w: &mut SnapshotWriter, masks: &[WayMask], words_per_set: usize) {
-    w.write_u64((masks.len() * words_per_set) as u64);
+/// Serializes per-set [`WayMask`]es as a plain `u64` slice, one word per
+/// set.
+fn write_mask_slice(w: &mut SnapshotWriter, masks: &[WayMask]) {
+    w.write_u64(masks.len() as u64);
     for m in masks {
-        for &word in &m.words()[..words_per_set] {
-            w.write_u64(word);
-        }
+        w.write_u64(m.bits());
     }
 }
 
 fn read_mask_slice(
     r: &mut SnapshotReader,
     masks: &mut [WayMask],
-    words_per_set: usize,
     name: &str,
     what: &str,
 ) -> Result<(), SnapshotError> {
     let n = r.read_usize()?;
-    let have = masks.len() * words_per_set;
-    if n != have {
+    if n != masks.len() {
         return Err(SnapshotError::Mismatch(format!(
-            "{name} {what}: snapshot has {n} words, this geometry has {have}"
+            "{name} {what}: snapshot has {n} words, this geometry has {}",
+            masks.len()
         )));
     }
     for m in masks {
-        let words = m.words_mut();
-        *words = [0; probe::WAY_WORDS];
-        for word in words[..words_per_set].iter_mut() {
-            *word = r.read_u64()?;
-        }
+        *m = WayMask::from_bits(r.read_u64()?);
     }
     Ok(())
 }
@@ -701,8 +691,7 @@ impl Snapshot for SetAssocCache {
     // kernel) is rebuilt from the run configuration; only line metadata,
     // replacement state and counters travel. All slice lengths are verified
     // against the receiving geometry so a snapshot from a different cache
-    // shape is rejected. Bitmaps serialize `ways.div_ceil(64)` words per
-    // set, keeping narrow caches byte-compatible with single-word images.
+    // shape is rejected.
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.write_u64(self.addrs.len() as u64);
         for a in &self.addrs {
@@ -713,10 +702,9 @@ impl Snapshot for SetAssocCache {
         for c in &self.cores {
             w.write_u64(c.to_raw());
         }
-        let words_per_set = self.ways.div_ceil(64);
-        write_mask_slice(w, &self.valid, words_per_set);
-        write_mask_slice(w, &self.dirty, words_per_set);
-        write_mask_slice(w, &self.tag, words_per_set);
+        write_mask_slice(w, &self.valid);
+        write_mask_slice(w, &self.dirty);
+        write_mask_slice(w, &self.tag);
         self.replacer.write_state(w);
         self.stats.write_state(w);
     }
@@ -743,10 +731,9 @@ impl Snapshot for SetAssocCache {
         for c in &mut self.cores {
             *c = CoreBitmap::from_raw(r.read_u64()?);
         }
-        let words_per_set = self.ways.div_ceil(64);
-        read_mask_slice(r, &mut self.valid, words_per_set, &name, "valid bitmaps")?;
-        read_mask_slice(r, &mut self.dirty, words_per_set, &name, "dirty bitmaps")?;
-        read_mask_slice(r, &mut self.tag, words_per_set, &name, "tag bitmaps")?;
+        read_mask_slice(r, &mut self.valid, &name, "valid bitmaps")?;
+        read_mask_slice(r, &mut self.dirty, &name, "dirty bitmaps")?;
+        read_mask_slice(r, &mut self.tag, &name, "tag bitmaps")?;
         self.replacer.read_state(r)?;
         self.stats.read_state(r)
     }
@@ -885,7 +872,7 @@ mod tests {
             Policy::Clock,
         ];
         for policy in policies {
-            for ways in [4usize, 16, 128] {
+            for ways in [4usize, 16, 64] {
                 let sets = 2;
                 let cfg = CacheConfig::with_sets("t", sets, ways, policy).unwrap();
                 let mut c = SetAssocCache::with_seed(cfg, ways as u64);
@@ -1048,47 +1035,55 @@ mod tests {
 
     #[test]
     fn wide_way_sets_work() {
-        // The multi-word cases the 256-way lift unlocks: word-boundary
-        // straddlers (65), a mid-range width (128) and the full 256.
-        for ways in [65usize, 128, 256] {
-            let mut c = small(Policy::Lru, 1, ways);
+        // The widest sets the one-word bitmaps hold, around the 32-bit
+        // half-word (33) and up to the top bit (63, 64).
+        for ways in [33usize, 63, 64] {
+            let mut c = small(Policy::Lru, 2, ways);
             for i in 0..ways as u64 {
-                c.fill(LineAddr::new(i), false);
+                c.fill(LineAddr::new(2 * i), false);
             }
             assert_eq!(c.occupancy(), ways);
             assert_eq!(c.invalid_way(0), None, "{ways} ways");
-            for probe_at in [0, 63, 64, ways as u64 - 1] {
+            assert_eq!(c.invalid_way(1), Some(0), "{ways} ways");
+            let top = 2 * (ways as u64 - 1);
+            for probe_at in [0, 62, top] {
                 assert!(c.probe(LineAddr::new(probe_at)), "{ways} ways");
             }
-            // LRU eviction across word boundaries.
+            assert!(!c.probe(LineAddr::new(top + 1)));
+            // LRU eviction: line 0 is refreshed, line 2 is the oldest.
             c.touch(LineAddr::new(0));
-            let ev = c.fill(LineAddr::new(ways as u64), false).unwrap();
-            assert_eq!(ev.addr, LineAddr::new(1), "{ways} ways");
+            let ev = c.fill(LineAddr::new(top + 2), false).unwrap();
+            assert_eq!(ev.addr, LineAddr::new(2), "{ways} ways");
             assert!(c.probe(LineAddr::new(0)));
-            assert!(c.probe(LineAddr::new(ways as u64)));
-            // Dirty/tag bits land in the right word.
-            let high = LineAddr::new(ways as u64 - 1);
+            assert!(c.probe(LineAddr::new(top + 2)));
+            // Dirty/tag bits of the highest way.
+            let high = LineAddr::new(top);
+            assert_eq!(c.way_of(high), Some(ways - 1));
             assert!(c.mark_dirty(high));
             assert!(c.set_tag(high, true));
             assert_eq!(c.take_tag(high), Some(true));
             let ev = c.invalidate(high).unwrap();
             assert!(ev.dirty, "{ways} ways");
+            assert_eq!(c.invalid_way(0), Some(ways - 1));
         }
     }
 
     #[test]
     fn wide_snapshot_roundtrip() {
-        // A >64-way cache checkpoints and restores bit-exactly (multi-word
-        // bitmap encode/decode), including across the invalid-way case.
-        let mut c = small(Policy::Lru, 2, 128);
+        // A 64-way cache checkpoints and restores bit-exactly, top bit
+        // included, with invalid ways and dirty and tag bits set.
+        let mut c = small(Policy::Lru, 2, 64);
         for i in 0..200u64 {
             c.fill(LineAddr::new(i), i % 3 == 0);
         }
         c.mark_dirty(LineAddr::new(199));
+        c.set_tag(LineAddr::new(198), true);
+        c.invalidate(LineAddr::new(150));
+        assert!(c.valid.iter().any(|m| m.contains(63)));
         let mut w = SnapshotWriter::new();
         c.write_state(&mut w);
         let bytes = w.finish();
-        let mut fresh = small(Policy::Lru, 2, 128);
+        let mut fresh = small(Policy::Lru, 2, 64);
         let mut r = SnapshotReader::new(&bytes).unwrap();
         fresh.read_state(&mut r).unwrap();
         assert_eq!(fresh.occupancy(), c.occupancy());
@@ -1099,13 +1094,17 @@ mod tests {
         let mut w2 = SnapshotWriter::new();
         fresh.write_state(&mut w2);
         assert_eq!(bytes, w2.finish());
+        // A cache of another width rejects the image.
+        let mut narrower = small(Policy::Lru, 2, 32);
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        assert!(narrower.read_state(&mut r).is_err());
     }
 
     #[test]
     fn narrow_snapshot_matches_single_word_layout() {
-        // For <= 64 ways the bitmap encoding must stay one word per set so
-        // pre-multi-word images keep loading: check the valid bitmap words
-        // appear verbatim (single-word stride) in the byte stream.
+        // The bitmap encoding is one word per set, as it has been since
+        // the first format version: check the valid bitmap words appear
+        // verbatim in the byte stream.
         let mut c = small(Policy::Lru, 2, 4);
         for i in 0..6u64 {
             c.fill(LineAddr::new(i), false);
@@ -1120,11 +1119,7 @@ mod tests {
             .to_le_bytes()
             .iter()
             .copied()
-            .chain(
-                c.valid
-                    .iter()
-                    .flat_map(|m| m.words()[0].to_le_bytes().to_vec()),
-            )
+            .chain(c.valid.iter().flat_map(|m| m.bits().to_le_bytes()))
             .collect();
         let found = bytes
             .windows(sets_words.len())

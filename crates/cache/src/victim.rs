@@ -8,9 +8,12 @@
 //!
 //! Entries are stored struct-of-arrays so the fully-associative address scan
 //! runs over a dense `LineAddr` slice through [`probe::find_index`] — the
-//! same SIMD-or-scalar kernel the set-associative caches use. At the
-//! paper's 32 entries the scan is cheap either way; the >64-entry sweeps in
-//! EXPERIMENTS.md are where the kernel pays.
+//! same SIMD-or-scalar kernel the set-associative caches use, in
+//! 64-entry chunks. The victim cache is not a set, so the 64-way limit of
+//! the set bitmaps does not apply to it (the `vc<N>` policies go up to
+//! [`VictimCache::MAX_ENTRIES`]). At the paper's 32 entries the scan is
+//! cheap either way; the >64-entry sweeps in EXPERIMENTS.md are where the
+//! kernel pays.
 
 use crate::line::CoreBitmap;
 use crate::probe;
@@ -46,6 +49,10 @@ pub struct VictimCache {
 }
 
 impl VictimCache {
+    /// Largest capacity the `vc<N>` policy family offers, in lines: the
+    /// top of the fully-associative sweeps. The scan itself has no limit.
+    pub const MAX_ENTRIES: usize = 256;
+
     /// Creates an empty victim cache holding up to `capacity` lines.
     ///
     /// # Panics

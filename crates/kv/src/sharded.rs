@@ -173,6 +173,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_sets_wider_than_the_way_limit() {
+        // 64 ways is the widest set; 128 is a geometry error under every
+        // policy (S3-FIFO's 112 main ways included), not a panic.
+        for policy in KvPolicy::ALL {
+            let cfg = KvConfig::new(8192, policy).with_ways(128);
+            match ShardedKv::new(cfg).err() {
+                Some(KvError::BadGeometry(msg)) => assert!(msg.contains("64-way"), "{msg}"),
+                other => panic!("{policy}: {other:?}"),
+            }
+            assert!(ShardedKv::new(KvConfig::new(8192, policy).with_ways(64)).is_ok());
+        }
+    }
+
+    #[test]
     fn shard_selection_is_balanced_and_stable() {
         let kv = ShardedKv::new(KvConfig::new(4096, KvPolicy::Clock)).unwrap();
         let mut counts = vec![0u64; kv.config().shards];

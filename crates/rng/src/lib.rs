@@ -88,22 +88,26 @@ impl SmallRng {
         result
     }
 
+    /// The top 53 bits of the next raw output: the integer `k` behind
+    /// [`gen_f64`](SmallRng::gen_f64)'s `k * 2^-53`, for callers that
+    /// compare against thresholds precomputed in the same units.
+    #[inline]
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
     /// Uniform `f64` in `[0, 1)` using the top 53 bits.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.next_u53() as f64 * (1.0 / UNIT_53)
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
+    /// A caller drawing with the same `p` many times should build the
+    /// [`Bernoulli`] once instead.
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        if p >= 1.0 {
-            return true;
-        }
-        if p <= 0.0 {
-            return false;
-        }
-        self.gen_f64() < p
+        Bernoulli::new(p).sample(self)
     }
 
     /// Uniform draw from a range; supports `a..b` and `a..=b` over the
@@ -135,6 +139,56 @@ impl SmallRng {
         (m >> 64) as u64
     }
 }
+
+/// A Bernoulli distribution with its probability precomputed as an
+/// integer threshold on the top 53 bits of one raw output.
+///
+/// [`SmallRng::gen_f64`] is `k * 2^-53` with `k = next_u64() >> 11`, so
+/// `gen_f64() < p` holds exactly when `k < p * 2^53`, i.e. when
+/// `k < ceil(p * 2^53)` (the scaling by a power of two is exact). A draw
+/// is therefore one shift and one integer compare, and consumes the same
+/// RNG output as the float comparison it replaces. `p <= 0` and `p >= 1`
+/// draw nothing, as [`SmallRng::gen_bool`] always has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli(Threshold);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Threshold {
+    Never,
+    Always,
+    /// `true` when the 53-bit draw is below this value.
+    Below(u64),
+}
+
+impl Bernoulli {
+    /// The distribution that is `true` with probability `p` (clamped to
+    /// `[0, 1]`).
+    pub fn new(p: f64) -> Bernoulli {
+        Bernoulli(if p >= 1.0 {
+            Threshold::Always
+        } else if p <= 0.0 {
+            Threshold::Never
+        } else {
+            // `ceil` without libm: the truncating cast is exact below 2^53.
+            let x = p * UNIT_53;
+            let t = x as u64;
+            Threshold::Below(if (t as f64) < x { t + 1 } else { t })
+        })
+    }
+
+    /// One draw.
+    #[inline]
+    pub fn sample(&self, rng: &mut SmallRng) -> bool {
+        match self.0 {
+            Threshold::Never => false,
+            Threshold::Always => true,
+            Threshold::Below(t) => rng.next_u53() < t,
+        }
+    }
+}
+
+/// `2^53`, the number of distinct [`SmallRng::gen_f64`] outputs.
+const UNIT_53: f64 = (1u64 << 53) as f64;
 
 /// Range types accepted by [`SmallRng::gen_range`].
 pub trait SampleRange {
@@ -221,6 +275,71 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
         assert!(rng.gen_bool(1.0));
         assert!(!rng.gen_bool(0.0));
+    }
+
+    /// `gen_bool`'s float definition before it delegated to [`Bernoulli`].
+    fn float_bool(rng: &mut SmallRng, p: f64) -> bool {
+        if p >= 1.0 {
+            return true;
+        }
+        if p <= 0.0 {
+            return false;
+        }
+        rng.gen_f64() < p
+    }
+
+    #[test]
+    fn bernoulli_matches_float_comparison_draw_for_draw() {
+        // Edge probabilities (no-draw cases, the smallest and largest
+        // thresholds, values that are not k * 2^-53) plus random ones;
+        // each sample must agree with the float comparison and with
+        // `gen_bool`, and leave the generator in the same state.
+        let mut ps = vec![
+            0.0,
+            1.0,
+            -0.0,
+            2f64.powi(-60),
+            1.0 / 12.0,
+            0.35,
+            1.0 - 2f64.powi(-53),
+            f64::MIN_POSITIVE,
+            -0.5,
+            1.5,
+            f64::NAN,
+        ];
+        let mut pick = SmallRng::seed_from_u64(0xB3);
+        ps.extend((0..200).map(|_| pick.gen_f64()));
+        for seed in 0..64u64 {
+            for &p in &ps {
+                let d = Bernoulli::new(p);
+                let mut a = SmallRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                let mut c = a.clone();
+                for i in 0..64 {
+                    let want = float_bool(&mut b, p);
+                    assert_eq!(d.sample(&mut a), want, "p={p:e} seed={seed} draw {i}");
+                    assert_eq!(c.gen_bool(p), want, "p={p:e} seed={seed} draw {i}");
+                    assert_eq!(a, b, "p={p:e} seed={seed}: RNG state diverged");
+                    assert_eq!(c, b, "p={p:e} seed={seed}: RNG state diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bernoulli_thresholds_hit_both_sides() {
+        // Probe the threshold boundary itself: a draw of exactly
+        // `ceil(p * 2^53) - 1` is true and one of `ceil(p * 2^53)` is false.
+        for p in [1.0 / 12.0, 0.35, 0.5, 1.0 - 2f64.powi(-53), 2f64.powi(-60)] {
+            let Bernoulli(Threshold::Below(t)) = Bernoulli::new(p) else {
+                panic!("p={p} must draw");
+            };
+            assert!(((t - 1) as f64) / UNIT_53 < p, "p={p}");
+            assert!((t as f64) / UNIT_53 >= p, "p={p}");
+        }
+        assert_eq!(Bernoulli::new(0.0), Bernoulli(Threshold::Never));
+        assert_eq!(Bernoulli::new(-0.0), Bernoulli(Threshold::Never));
+        assert_eq!(Bernoulli::new(1.0), Bernoulli(Threshold::Always));
     }
 
     #[test]

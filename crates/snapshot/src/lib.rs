@@ -44,6 +44,8 @@ pub const MAGIC: [u8; 4] = *b"TLAS";
 /// * 2 — multi-word set bitmaps (caches wider than 64 ways serialize
 ///   `ways.div_ceil(64)` words per set). For ≤ 64 ways the byte layout is
 ///   unchanged, so version-1 images decode through the same readers.
+///   Sets are capped at 64 ways again since the one-word way masks, so
+///   every image a current build can resume has one word per set.
 /// * 3 — checkpoint meta carries the core-model latency configuration
 ///   (four trailing `u64`s). Readers of older images substitute the
 ///   default latencies; see [`SnapshotReader::version`] for the gating

@@ -1,11 +1,13 @@
 //! Streaming instruction-trace generation.
 
-use tla_rng::SmallRng;
+use tla_rng::{Bernoulli, SmallRng};
 use tla_snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use tla_types::{AccessKind, LineAddr, LINE_BYTES};
 
 /// Bytes per (abstract) instruction for program-counter advancement.
 const INSTR_BYTES: u64 = 4;
+/// Instruction slots per code line.
+const INSTR_PER_LINE: u64 = LINE_BYTES as u64 / INSTR_BYTES;
 /// Average basic-block length in instructions; one in this many
 /// instructions branches to a random spot in the code footprint.
 const AVG_BASIC_BLOCK: f64 = 12.0;
@@ -134,7 +136,10 @@ impl PatternState {
                 *rep += 1;
                 if *rep >= *stay {
                     *rep = 0;
-                    *pos = (*pos + 1) % *lines;
+                    *pos += 1;
+                    if *pos == *lines {
+                        *pos = 0;
+                    }
                 }
                 l
             }
@@ -227,11 +232,13 @@ pub struct SyntheticTrace {
     pc_line: u64,
     /// Instruction slot within the current code line.
     pc_slot: u64,
-    branch_prob: f64,
-    mem_ratio: f64,
-    write_ratio: f64,
-    /// Cumulative weights for pattern selection, paired with states.
-    patterns: Vec<(f64, PatternState)>,
+    branch: Bernoulli,
+    mem: Bernoulli,
+    write: Bernoulli,
+    /// Cumulative pattern weights as `floor(c * 2^53)`, paired with
+    /// states: a 53-bit draw `k` picks the first pattern with `k <= c`,
+    /// which is exactly `gen_f64() <= c` on the float weight.
+    patterns: Vec<(u64, PatternState)>,
     rng: SmallRng,
     generated: u64,
 }
@@ -267,16 +274,19 @@ impl SyntheticTrace {
             })
             .collect::<Vec<_>>();
         let total = cum;
-        let patterns = patterns.into_iter().map(|(c, s)| (c / total, s)).collect();
+        let patterns = patterns
+            .into_iter()
+            .map(|(c, s)| (((c / total) * (1u64 << 53) as f64) as u64, s))
+            .collect();
         SyntheticTrace {
             data_base: instance * INSTANCE_STRIDE_LINES,
             code_base: instance * INSTANCE_STRIDE_LINES + CODE_REGION_OFFSET,
             code_lines,
             pc_line: 0,
             pc_slot: 0,
-            branch_prob: 1.0 / AVG_BASIC_BLOCK,
-            mem_ratio: params.mem_ratio,
-            write_ratio: params.write_ratio,
+            branch: Bernoulli::new(1.0 / AVG_BASIC_BLOCK),
+            mem: Bernoulli::new(params.mem_ratio),
+            write: Bernoulli::new(params.write_ratio),
             patterns,
             rng: SmallRng::seed_from_u64(seed ^ 0x5EED_7EA5_0000_0000 ^ instance),
             generated: 0,
@@ -330,9 +340,16 @@ impl Snapshot for SyntheticTrace {
         }
     }
 
+    // The walks wrap by compare, not `%`, so every cursor must be in range.
     fn read_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         self.pc_line = r.read_u64()?;
         self.pc_slot = r.read_u64()?;
+        if self.pc_line >= self.code_lines || self.pc_slot >= INSTR_PER_LINE {
+            return Err(SnapshotError::Corrupt(format!(
+                "trace PC line {} slot {} outside {} lines of {INSTR_PER_LINE} slots",
+                self.pc_line, self.pc_slot, self.code_lines
+            )));
+        }
         self.generated = r.read_u64()?;
         self.rng.read_state(r)?;
         let n = r.read_usize()?;
@@ -351,16 +368,38 @@ impl Snapshot for SyntheticTrace {
                 )));
             }
             match p {
-                PatternState::Loop { pos, rep, .. } => {
+                PatternState::Loop {
+                    lines,
+                    stay,
+                    pos,
+                    rep,
+                } => {
                     *pos = r.read_u64()?;
                     *rep = r.read_u64()?;
+                    if *pos >= *lines || *rep >= *stay {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "loop pattern at line {pos} rep {rep} outside {lines} lines x {stay}"
+                        )));
+                    }
                 }
                 PatternState::Random { .. } => {}
-                PatternState::Stream { pos, rep, .. } => {
+                PatternState::Stream { stay, pos, rep } => {
                     *pos = r.read_u64()?;
                     *rep = r.read_u64()?;
+                    if *rep >= *stay {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "stream pattern rep {rep} outside stay {stay}"
+                        )));
+                    }
                 }
-                PatternState::Chase { pos, .. } => *pos = r.read_u64()?,
+                PatternState::Chase { mask, pos } => {
+                    *pos = r.read_u64()?;
+                    if *pos > *mask {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "chase pattern at line {pos} outside mask {mask:#x}"
+                        )));
+                    }
+                }
             }
         }
         Ok(())
@@ -371,31 +410,33 @@ impl TraceSource for SyntheticTrace {
     #[inline]
     fn next_instruction(&mut self) -> Instruction {
         self.generated += 1;
-        let instr_per_line = LINE_BYTES as u64 / INSTR_BYTES;
 
         // Advance the program counter.
         let code_line = LineAddr::new(self.code_base + self.pc_line);
-        if self.rng.gen_bool(self.branch_prob) {
+        if self.branch.sample(&mut self.rng) {
             self.pc_line = self.rng.gen_range(0..self.code_lines);
-            self.pc_slot = self.rng.gen_range(0..instr_per_line);
+            self.pc_slot = self.rng.gen_range(0..INSTR_PER_LINE);
         } else {
             self.pc_slot += 1;
-            if self.pc_slot >= instr_per_line {
+            if self.pc_slot >= INSTR_PER_LINE {
                 self.pc_slot = 0;
-                self.pc_line = (self.pc_line + 1) % self.code_lines;
+                self.pc_line += 1;
+                if self.pc_line == self.code_lines {
+                    self.pc_line = 0;
+                }
             }
         }
 
         // Data reference.
-        let mem = if self.rng.gen_bool(self.mem_ratio) {
-            let x = self.rng.gen_f64();
+        let mem = if self.mem.sample(&mut self.rng) {
+            let k = self.rng.next_u53();
             let idx = self
                 .patterns
                 .iter()
-                .position(|(c, _)| x <= *c)
+                .position(|(c, _)| k <= *c)
                 .unwrap_or(self.patterns.len() - 1);
             let line = self.patterns[idx].1.next_line(&mut self.rng);
-            let kind = if self.rng.gen_bool(self.write_ratio) {
+            let kind = if self.write.sample(&mut self.rng) {
                 AccessKind::Store
             } else {
                 AccessKind::Load
@@ -579,17 +620,7 @@ mod tests {
 
     #[test]
     fn snapshot_resumes_exact_stream() {
-        let params = WorkloadParams {
-            code_footprint_bytes: 4096,
-            mem_ratio: 0.6,
-            write_ratio: 0.3,
-            patterns: vec![
-                (0.4, PatternKind::Loop { lines: 64, stay: 4 }),
-                (0.2, PatternKind::Random { lines: 1024 }),
-                (0.2, PatternKind::Stream { stay: 2 }),
-                (0.2, PatternKind::Chase { lines: 256 }),
-            ],
-        };
+        let params = all_patterns();
         let mut live = SyntheticTrace::new(&params, 1, 99);
         for _ in 0..5000 {
             live.next_instruction();
@@ -605,6 +636,92 @@ mod tests {
         for _ in 0..5000 {
             assert_eq!(resumed.next_instruction(), live.next_instruction());
         }
+    }
+
+    fn all_patterns() -> WorkloadParams {
+        WorkloadParams {
+            code_footprint_bytes: 4096,
+            mem_ratio: 0.6,
+            write_ratio: 0.3,
+            patterns: vec![
+                (0.4, PatternKind::Loop { lines: 64, stay: 4 }),
+                (0.2, PatternKind::Random { lines: 1024 }),
+                (0.2, PatternKind::Stream { stay: 2 }),
+                (0.2, PatternKind::Chase { lines: 256 }),
+            ],
+        }
+    }
+
+    /// Snapshots a live trace after `corrupt` has pushed one cursor out of
+    /// range, and returns what a fresh trace of the same workload makes
+    /// of it.
+    fn resume_corrupted(corrupt: impl FnOnce(&mut SyntheticTrace)) -> SnapshotError {
+        let mut live = SyntheticTrace::new(&all_patterns(), 0, 3);
+        for _ in 0..1000 {
+            live.next_instruction();
+        }
+        corrupt(&mut live);
+        let mut w = tla_snapshot::SnapshotWriter::new();
+        live.write_state(&mut w);
+        let bytes = w.finish();
+        let mut fresh = SyntheticTrace::new(&all_patterns(), 0, 3);
+        let mut r = tla_snapshot::SnapshotReader::new(&bytes).unwrap();
+        fresh.read_state(&mut r).unwrap_err()
+    }
+
+    fn assert_corrupt(err: SnapshotError, what: &str) {
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(m) if m.contains(what)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_loop_cursor_out_of_range() {
+        let err = resume_corrupted(|t| match &mut t.patterns[0].1 {
+            PatternState::Loop { lines, pos, .. } => *pos = *lines,
+            p => panic!("{p:?}"),
+        });
+        assert_corrupt(err, "loop pattern");
+    }
+
+    #[test]
+    fn snapshot_rejects_loop_rep_out_of_range() {
+        let err = resume_corrupted(|t| match &mut t.patterns[0].1 {
+            PatternState::Loop { stay, rep, .. } => *rep = *stay,
+            p => panic!("{p:?}"),
+        });
+        assert_corrupt(err, "loop pattern");
+    }
+
+    #[test]
+    fn snapshot_rejects_stream_rep_out_of_range() {
+        let err = resume_corrupted(|t| match &mut t.patterns[2].1 {
+            PatternState::Stream { stay, rep, .. } => *rep = *stay,
+            p => panic!("{p:?}"),
+        });
+        assert_corrupt(err, "stream pattern");
+    }
+
+    #[test]
+    fn snapshot_rejects_pc_line_out_of_range() {
+        let err = resume_corrupted(|t| t.pc_line = t.code_lines);
+        assert_corrupt(err, "trace PC");
+    }
+
+    #[test]
+    fn snapshot_rejects_pc_slot_out_of_range() {
+        let err = resume_corrupted(|t| t.pc_slot = INSTR_PER_LINE);
+        assert_corrupt(err, "trace PC");
+    }
+
+    #[test]
+    fn snapshot_rejects_chase_cursor_out_of_range() {
+        let err = resume_corrupted(|t| match &mut t.patterns[3].1 {
+            PatternState::Chase { mask, pos } => *pos = *mask + 1,
+            p => panic!("{p:?}"),
+        });
+        assert_corrupt(err, "chase pattern");
     }
 
     #[test]

@@ -73,8 +73,9 @@ fn usage() -> ExitCode {
          \x20 --policy <name>         baseline, tlh-il1, tlh-dl1, tlh-l1, tlh-l2,\n\
          \x20                         tlh-l1-l2, eci, qbs, qbs-il1, qbs-dl1, qbs-l1,\n\
          \x20                         qbs-l2, non-inclusive, exclusive, vc<N>\n\
-         \x20                         (vc32 = the paper's victim cache; any\n\
-         \x20                         entry count up to 256 works, e.g. vc128)\n\
+         \x20                         (vc32 = the paper's victim cache; 1 to\n\
+         \x20                         256 entries, e.g. vc128: it is fully\n\
+         \x20                         associative, not a 64-way-limited set)\n\
          \x20 --scale <1|2|4|8>       cache down-scaling (default 8)\n\
          \x20 --measure <n>           measured instructions/thread (default 300000)\n\
          \x20 --warmup <n>            warm-up instructions/thread (default 800000)\n\
@@ -144,7 +145,7 @@ fn usage() -> ExitCode {
          \x20 --ops <n>               operations per thread (default 200000)\n\
          \x20 --capacity <n>          cache capacity in entries (default 16384)\n\
          \x20 --shards <n>            lock stripes, power of two (default 8)\n\
-         \x20 --ways <n>              associativity (default 8)\n\
+         \x20 --ways <n>              associativity, 1..=64 (default 8)\n\
          \x20 --put-permille <n>      puts per 1000 ops (default 50)\n\
          \x20 --seed <n>              load/cache seed (default 1)\n\
          \x20 --json <path>           write the tla-kv-report-v1 JSON,\n\
@@ -180,11 +181,11 @@ struct Options {
 
 fn parse_policy(name: &str) -> Option<PolicySpec> {
     // `vc<N>` is a family, not a fixed name: vc32 is the paper's §VI victim
-    // cache, larger sizes (up to the 256-way structure limit) drive the
-    // fully-associative probe sweeps.
+    // cache, larger sizes (up to 256 entries) drive the fully-associative
+    // probe sweeps.
     if let Some(n) = name.strip_prefix("vc") {
         let entries: usize = n.parse().ok()?;
-        if !(1..=tla::cache::MAX_WAYS).contains(&entries) {
+        if !(1..=tla::cache::VictimCache::MAX_ENTRIES).contains(&entries) {
             return None;
         }
         return Some(PolicySpec::victim_cache(entries));
@@ -480,7 +481,7 @@ fn cmd_list() -> ExitCode {
     println!("          qbs-il1 qbs-dl1 qbs-l1 qbs-l2 non-inclusive exclusive");
     println!(
         "          vc<N> (victim cache with N entries, 1..={}; vc32 = paper §VI)",
-        tla::cache::MAX_WAYS
+        tla::cache::VictimCache::MAX_ENTRIES
     );
     println!("\nprobe kernel: {}", tla::cache::kernel_name());
     ExitCode::SUCCESS
@@ -2027,7 +2028,8 @@ mod tests {
         assert_eq!(parse_policy("vc32").unwrap().victim_cache, Some(32));
         assert_eq!(parse_policy("vc128").unwrap().name, "VC-128");
         assert!(parse_policy("vc0").is_none(), "empty victim cache");
-        assert!(parse_policy("vc257").is_none(), "beyond MAX_WAYS");
+        assert_eq!(parse_policy("vc256").unwrap().victim_cache, Some(256));
+        assert!(parse_policy("vc257").is_none(), "beyond MAX_ENTRIES");
         assert!(parse_policy("vcxyz").is_none());
     }
 

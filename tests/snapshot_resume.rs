@@ -48,30 +48,32 @@ fn resumed_reports_match_straight_runs_for_every_matrix_policy() {
     }
 }
 
-/// PR 5 acceptance: a 128-entry fully-associative victim cache — wider
-/// than one bitmap word, scanned by the dispatched probe kernel —
-/// constructs, runs, and snapshot-resumes byte-identically.
+/// 128- and 256-entry fully-associative victim caches — wider than the
+/// 64-way set limit, scanned by the dispatched probe kernel in 64-entry
+/// chunks — construct, run, and snapshot-resume byte-identically.
 #[test]
 fn wide_victim_cache_resumes_byte_identically() {
-    let spec = PolicySpec::victim_cache(128);
-    let (_, straight) = MixRun::new(&cfg(), &MIX)
-        .spec(&spec)
-        .run_report(Some(WINDOW));
-    let checkpoint = MixRun::new(&cfg(), &MIX)
-        .spec(&spec)
-        .warm_checkpoint_instrumented(Some(WINDOW));
-    // The image itself round-trips bytes through the serializer.
-    let reloaded = Checkpoint::from_bytes(checkpoint.as_bytes().to_vec()).unwrap();
-    assert_eq!(reloaded.as_bytes(), checkpoint.as_bytes());
-    let (_, resumed) = MixRun::new(&cfg(), &MIX)
-        .spec(&spec)
-        .resume_report(&checkpoint, Some(WINDOW))
-        .unwrap();
-    assert_eq!(
-        resumed.to_json_string(),
-        straight.to_json_string(),
-        "VC-128: resumed report differs from straight-through report"
-    );
+    for entries in [128, 256] {
+        let spec = PolicySpec::victim_cache(entries);
+        let (_, straight) = MixRun::new(&cfg(), &MIX)
+            .spec(&spec)
+            .run_report(Some(WINDOW));
+        let checkpoint = MixRun::new(&cfg(), &MIX)
+            .spec(&spec)
+            .warm_checkpoint_instrumented(Some(WINDOW));
+        // The image itself round-trips bytes through the serializer.
+        let reloaded = Checkpoint::from_bytes(checkpoint.as_bytes().to_vec()).unwrap();
+        assert_eq!(reloaded.as_bytes(), checkpoint.as_bytes());
+        let (_, resumed) = MixRun::new(&cfg(), &MIX)
+            .spec(&spec)
+            .resume_report(&checkpoint, Some(WINDOW))
+            .unwrap();
+        assert_eq!(
+            resumed.to_json_string(),
+            straight.to_json_string(),
+            "VC-{entries}: resumed report differs from straight-through report"
+        );
+    }
 }
 
 #[test]
